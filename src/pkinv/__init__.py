@@ -11,9 +11,7 @@ from .loops import (
     Loop,
     LoopComponent,
     build_intervals,
-    crossing_set,
     decompose_loops,
-    minimal_crossing_arcs,
     order_loops,
 )
 from .oracle import (
@@ -43,10 +41,8 @@ from .sequences import (
     can_pair,
     compatible_distance,
     compatible_neighbors,
-    decompose_sequence,
     is_compatible,
     random_compatible_sequence,
-    reassemble_sequence,
 )
 from .structure import (
     Arc,
@@ -54,11 +50,7 @@ from .structure import (
     Structure,
     ValidationPolicy,
     Violation,
-    core_of,
     crossing_number,
-    is_motif,
-    is_skeleton,
-    l_graph_of,
     parse_structure,
     restrict_structure,
     serialize_structure,

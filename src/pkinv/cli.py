@@ -64,25 +64,13 @@ class _TrialSpec:
     seed: int
     trial: int
     n_best: int
-    k: int
-    sigma: int
-    min_arc_length: int
-    model_items: tuple[tuple[str, float], ...]
-    penalties: tuple[float, float, float, float, float]
+    policy: ValidationPolicy
+    model: EnergyModel
     want_trace: bool
 
 
 def _run_trial(spec: _TrialSpec) -> dict:
-    model = EnergyModel(
-        pair_scores=spec.model_items,
-        hairpin=spec.penalties[0],
-        interior=spec.penalties[1],
-        stacked=spec.penalties[2],
-        multi=spec.penalties[3],
-        pseudoknot=spec.penalties[4],
-    )
-    policy = ValidationPolicy(spec.k, spec.sigma, spec.min_arc_length)
-    oracle = ReferenceFoldOracle(policy, model)
+    oracle = ReferenceFoldOracle(spec.policy, spec.model)
     config = SearchConfig(n_best=spec.n_best, rng_seed=spec.seed)
     started = time.perf_counter()
     try:
@@ -120,9 +108,11 @@ def main():
 
 @main.command()
 @click.option("--target", required=True, help="Bracket string or file with one.")
-@click.option("--trials", default=1, show_default=True, type=int)
+@click.option("--trials", default=1, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--n-best", "-N", "n_best", default=50, show_default=True, type=int,
+@click.option("--n-best", "-N", "n_best", default=50, show_default=True,
+              type=click.IntRange(min=1),
               help="Suboptimal list size used while adjusting.")
 @click.option("--k", default=3, show_default=True, type=int)
 @click.option("--sigma", default=3, show_default=True, type=int)
@@ -131,7 +121,7 @@ def main():
               help="Energy model config file (key=value lines).")
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["text", "jsonl", "tsv"]))
-@click.option("--jobs", default=1, show_default=True, type=int,
+@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
               help="Parallel trials; output is identical for any value.")
 @click.option("--trace", "trace_path", default=None, type=click.Path(),
               help="Write the search trace of each trial as JSON lines.")
@@ -155,11 +145,14 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
             click.echo(f"  {violation}")
         ctx.exit(EXIT_INVALID)
 
-    penalties = (model.hairpin, model.interior, model.stacked, model.multi,
-                 model.pseudoknot)
+    verifier = ReferenceFoldOracle(policy, model)
+    if parsed.n > verifier.size_guard:
+        click.echo(f"target length {parsed.n} exceeds the oracle's length guard "
+                   f"{verifier.size_guard}", err=True)
+        ctx.exit(EXIT_INVALID)
+
     specs = [
-        _TrialSpec(target_text, seed + trial, trial, n_best, k, sigma,
-                   min_arc_length, model.pair_scores, penalties,
+        _TrialSpec(target_text, seed + trial, trial, n_best, policy, model,
                    trace_path is not None)
         for trial in range(trials)
     ]
@@ -172,7 +165,6 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
     total_time = time.perf_counter() - started
     records.sort(key=lambda r: r["trial"])
 
-    verifier = ReferenceFoldOracle(policy, model)
     for record in records:
         if record["success"]:
             refolded = verifier.fold(record["sequence"], 1).mfe
@@ -211,7 +203,8 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
             else:
                 click.echo("Failed!")
         mean_time = sum(times) / len(times) if times else 0.0
-        p90 = sorted(times)[max(0, int(0.9 * len(times)) - 1)] if times else 0.0
+        # nearest rank: the ceil(0.9 * n)-th smallest time
+        p90 = sorted(times)[(9 * len(times) + 9) // 10 - 1] if times else 0.0
         click.echo(
             f"report  length={parsed.n} trials={trials} successes={successes} "
             f"rate={100.0 * successes / max(trials, 1):.1f}% "

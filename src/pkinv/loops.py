@@ -5,7 +5,8 @@ pseudoknot loops.  Arcs that cross are grouped stack-wise into pseudoknot
 loops; every remaining arc closes exactly one standard loop, namely the
 one formed by the maximal arcs directly nested beneath it.  Unpaired
 positions inside a pseudoknot span that no standard loop claims belong to
-the pseudoknot loop.
+the pseudoknot loop.  The same stack-level grouping yields loop_census,
+the per-kind loop counts the energy model scores.
 
 On top of the decomposition this module builds the ordered loop
 components and the growing interval sequence that drives the local
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
-from .structure import Arc, Stack, Structure, stacks
+from .structure import Arc, Stack, Structure, _crosses, _nested, stacks
 
 HAIRPIN = "hairpin"
 INTERIOR = "interior"
@@ -106,74 +108,73 @@ class IntervalPlan:
     intervals: tuple[tuple[int, int], ...]
 
 
-def crossing_set(s: Structure, arc: Arc) -> tuple[Arc, ...]:
-    """All arcs of s that cross the given arc."""
-    arc = Arc(*arc)
-    if arc not in set(s.arcs):
-        raise ArcNotInStructure(f"{tuple(arc)} not in structure")
-    return tuple(other for other in s.arcs if other.crosses(arc))
+def _pseudoknot_groups(outer: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """Group maximal stacks, given by their outer arcs, into pseudoknot loops.
 
-
-def minimal_crossing_arcs(s: Structure, arc: Arc) -> tuple[Arc, ...]:
-    """Nesting-minimal elements among the arcs crossing the given arc.
-
-    An arc is minimal here when no other crossing arc nests strictly
-    inside it.  The relation is not symmetric: a can be minimal among the
-    arcs crossing b while b is not minimal among those crossing a.
+    All arcs of one stack relate identically to any other arc, so outer
+    arcs decide stack-level crossing and nesting.  A stack joins a
+    pseudoknot when it is a nesting-minimal element of the crossing set of
+    some stack; stacks whose crossing partners are all witnessed by a
+    strictly nested stack close standard loops instead.  The kept stacks
+    split into connected components of the crossing graph, one pseudoknot
+    loop each.  Groups hold stack indices in no particular order.
     """
-    crossing = crossing_set(s, arc)
-    return tuple(
-        a
-        for a in crossing
-        if not any(other.nests_inside(a) for other in crossing if other != a)
-    )
-
-
-def _stack_crossing_graph(sts: tuple[Stack, ...]) -> list[set[int]]:
-    # All arcs of one stack relate identically to any other arc, so the
-    # outer arcs decide stack-level crossing.
-    graph: list[set[int]] = [set() for _ in sts]
-    for a in range(len(sts)):
-        for b in range(a + 1, len(sts)):
-            if sts[a].outer.crosses(sts[b].outer):
-                graph[a].add(b)
-                graph[b].add(a)
-    return graph
-
-
-def _pseudoknot_stack_groups(sts: tuple[Stack, ...]) -> list[list[int]]:
-    """Group stacks into pseudoknot arc sets.
-
-    A stack joins a pseudoknot when it is a nesting-minimal element of
-    the crossing set of some stack; stacks whose crossing partners are
-    all witnessed by a strictly nested stack close standard loops
-    instead.  The kept stacks split into connected components of the
-    crossing graph, one pseudoknot loop each.
-    """
-    graph = _stack_crossing_graph(sts)
+    crossing: list[list[int]] = [[] for _ in outer]
+    for a in range(1, len(outer)):
+        for b in range(a):
+            if _crosses(outer[a], outer[b]):
+                crossing[a].append(b)
+                crossing[b].append(a)
     witnessed: set[int] = set()
-    for beta, crossing in enumerate(graph):
-        for x in crossing:
-            if not any(
-                sts[y].outer.nests_inside(sts[x].outer) for y in crossing if y != x
-            ):
+    for partners in crossing:
+        for x in partners:
+            if not any(_nested(outer[y], outer[x]) for y in partners):
                 witnessed.add(x)
     groups: list[list[int]] = []
-    seen: set[int] = set()
-    for start in sorted(witnessed):
-        if start in seen:
-            continue
-        component = [start]
-        seen.add(start)
-        todo = [start]
+    while witnessed:
+        todo = [witnessed.pop()]
+        group = todo[:]
         while todo:
-            for neigh in graph[todo.pop()]:
-                if neigh in witnessed and neigh not in seen:
-                    seen.add(neigh)
-                    component.append(neigh)
+            for neigh in crossing[todo.pop()]:
+                if neigh in witnessed:
+                    witnessed.remove(neigh)
+                    group.append(neigh)
                     todo.append(neigh)
-        groups.append(sorted(component))
+        groups.append(group)
     return groups
+
+
+def loop_census(
+    stack_triples: Sequence[tuple[int, int, int]],
+) -> tuple[int, int, int, int, int]:
+    """Loop-kind counts of the structure made of the given maximal stacks.
+
+    Stacks are (i, j, size) triples for the runs (i, j), ..., (i + size - 1,
+    j - size + 1); they must be maximal and pair disjoint positions, as
+    stacks() returns them.  The counts are (hairpin, gapped interior,
+    stacked pair, multi, pseudoknot), in the order of
+    EnergyModel.loop_weights, and equal the loop kinds of decompose_loops:
+    a stack outside every pseudoknot closes size - 1 stacked pairs plus
+    one loop given by its nesting-maximal children.
+    """
+    groups = _pseudoknot_groups(stack_triples)
+    in_pk = {idx for group in groups for idx in group}
+    hairpins = gapped = stacked = multis = 0
+    for idx, (i, j, size) in enumerate(stack_triples):
+        if idx in in_pk:
+            continue
+        stacked += size - 1
+        # positions are disjoint, so nesting inside the outer arc is
+        # nesting inside the innermost one
+        inside = [c for c in stack_triples if i < c[0] and c[1] < j]
+        children = sum(1 for c in inside if not any(_nested(c, d) for d in inside))
+        if children == 0:
+            hairpins += 1
+        elif children == 1:
+            gapped += 1
+        else:
+            multis += 1
+    return (hairpins, gapped, stacked, multis, len(groups))
 
 
 def _unpaired_runs(positions: list[int]) -> tuple[tuple[int, int], ...]:
@@ -196,7 +197,7 @@ def decompose_loops(s: Structure) -> tuple[Loop, ...]:
     if not s.arcs:
         return ()
     sts = stacks(s)
-    groups = _pseudoknot_stack_groups(sts)
+    groups = _pseudoknot_groups([st.outer for st in sts])
     pk_arcs: set[Arc] = set()
     for group in groups:
         for idx in group:

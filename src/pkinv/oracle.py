@@ -21,9 +21,9 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .loops import HAIRPIN, INTERIOR, MULTI, PSEUDOKNOT, decompose_loops
-from .sequences import BASES, PAIRS, IncompatibleInput, is_compatible
-from .structure import Arc, Structure, ValidationPolicy
+from .loops import loop_census
+from .sequences import BASES, PAIRS, IncompatibleInput, _require_compatible
+from .structure import Arc, Structure, ValidationPolicy, _crosses, stacks
 
 DEFAULT_SIZE_GUARD = 40
 
@@ -108,16 +108,12 @@ class EnergyModel:
     def pair_score(self, x: str, y: str) -> float:
         return dict(self.pair_scores)[x + y]
 
-    def loop_penalty(self, loop) -> float:
-        if loop.kind == HAIRPIN:
-            return self.hairpin
-        if loop.kind == INTERIOR:
-            return self.stacked if loop.is_stacked_pair else self.interior
-        if loop.kind == MULTI:
-            return self.multi
-        if loop.kind == PSEUDOKNOT:
-            return self.pseudoknot
-        raise ValueError(f"unknown loop kind {loop.kind!r}")
+    @property
+    def loop_weights(self) -> tuple[float, float, float, float, float]:
+        """Loop penalties in loop_census order: hairpin, gapped interior,
+        stacked pair, multi, pseudoknot."""
+        return (self.hairpin, self.interior, self.stacked, self.multi,
+                self.pseudoknot)
 
 
 DEFAULT_MODEL = EnergyModel()
@@ -142,12 +138,11 @@ class FoldResult:
 def energy_of(
     seq: str, s: Structure, model: EnergyModel = DEFAULT_MODEL
 ) -> float:
-    """Sum of pair scores over arcs plus loop penalties over the decomposition."""
-    if not is_compatible(seq, s):
-        raise IncompatibleInput("sequence is not compatible with the structure")
+    """Sum of pair scores over arcs plus loop penalties over the loop census."""
+    _require_compatible(seq, s)
     total = sum(model.pair_score(seq[a.i - 1], seq[a.j - 1]) for a in s.arcs)
-    total += sum(model.loop_penalty(loop) for loop in decompose_loops(s))
-    return total
+    census = loop_census([(*st.outer, st.size) for st in stacks(s)])
+    return total + sum(c * w for c, w in zip(census, model.loop_weights))
 
 
 def _guard(n: int, size_guard: int, force: bool) -> None:
@@ -182,81 +177,6 @@ def _adjacent_runs(a, b) -> bool:
     )
 
 
-def _crosses(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] < b[0] < a[1] < b[1] or b[0] < a[0] < b[1] < a[1]
-
-
-def _nested(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return b[0] < a[0] and a[1] < b[1]
-
-
-def _loop_counts_for_stacks(
-    chosen: list[tuple[int, int, int]],
-) -> tuple[int, int, int, int, int]:
-    """Loop-kind census (hairpin, gapped interior, stacked pair, multi,
-    pseudoknot) of the structure assembled from the given maximal stacks.
-
-    Mirrors decompose_loops at stack granularity: all arcs of one stack
-    relate identically to any other arc, so outer arcs decide crossing
-    and nesting, and anti-adjacent generation guarantees a lone nested
-    block never forms a stacked pair with its parent.
-    """
-    m = len(chosen)
-    if m == 0:
-        return (0, 0, 0, 0, 0)
-    outer = [(c[0], c[1]) for c in chosen]
-    graph: list[list[int]] = [[] for _ in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            if _crosses(outer[a], outer[b]):
-                graph[a].append(b)
-                graph[b].append(a)
-    witnessed: set[int] = set()
-    for crossing in graph:
-        for x in crossing:
-            if not any(
-                _nested(outer[y], outer[x]) for y in crossing if y != x
-            ):
-                witnessed.add(x)
-    groups = 0
-    seen: set[int] = set()
-    for start in witnessed:
-        if start in seen:
-            continue
-        groups += 1
-        seen.add(start)
-        todo = [start]
-        while todo:
-            for neigh in graph[todo.pop()]:
-                if neigh in witnessed and neigh not in seen:
-                    seen.add(neigh)
-                    todo.append(neigh)
-    hairpins = gapped = stacked = multis = 0
-    for idx in range(m):
-        i, j, size = chosen[idx][0], chosen[idx][1], chosen[idx][2]
-        if idx in witnessed:
-            continue
-        stacked += size - 1
-        inner = (i + size - 1, j - size + 1)
-        nested_stacks = [
-            t for t in range(m) if t != idx and _nested(outer[t], inner)
-        ]
-        children = sum(
-            1
-            for t in nested_stacks
-            if not any(
-                _nested(outer[t], outer[u]) for u in nested_stacks if u != t
-            )
-        )
-        if children == 0:
-            hairpins += 1
-        elif children == 1:
-            gapped += 1
-        else:
-            multis += 1
-    return (hairpins, gapped, stacked, multis, groups)
-
-
 def _enumerate_stack_sets(
     n: int, policy: ValidationPolicy
 ) -> list[tuple[tuple[int, ...], tuple[int, int, int, int, int]]]:
@@ -276,17 +196,16 @@ def _enumerate_stack_sets(
 
     def addable(chosen: list[int], idx: int) -> bool:
         cand = candidates[idx]
-        outer = (cand[0], cand[1])
-        crossers: list[tuple[int, int]] = []
+        crossers: list[tuple[int, int, int, int]] = []
         for c in chosen:
             other = candidates[c]
             if _adjacent_runs(cand, other):
                 return False
-            if _crosses(outer, (other[0], other[1])):
-                crossers.append((other[0], other[1]))
+            if _crosses(cand, other):
+                crossers.append(other)
         if len(crossers) >= max_mutual:
             # adding cand must not complete a (max_mutual + 1)-clique
-            def clique(size: int, rest: list[tuple[int, int]]) -> bool:
+            def clique(size: int, rest: list[tuple[int, int, int, int]]) -> bool:
                 if size == max_mutual:
                     return True
                 for t, arc in enumerate(rest):
@@ -308,7 +227,7 @@ def _enumerate_stack_sets(
             i, j, size, _ = candidates[c]
             stacks_.append((i, j, size))
             arcs.extend((i + t) * span + (j - t) for t in range(size))
-        results.append((tuple(sorted(arcs)), _loop_counts_for_stacks(stacks_)))
+        results.append((tuple(sorted(arcs)), loop_census(stacks_)))
 
     def rec(start: int, used: int, chosen: list[int]) -> None:
         emit(chosen)
@@ -357,11 +276,7 @@ class _FoldTable:
     def penalties(self, model: EnergyModel) -> np.ndarray:
         cached = self._penalties.get(model)
         if cached is None:
-            weights = np.array(
-                [model.hairpin, model.interior, model.stacked, model.multi,
-                 model.pseudoknot]
-            )
-            cached = self._loop_counts @ weights
+            cached = self._loop_counts @ np.array(model.loop_weights)
             self._penalties[model] = cached
         return cached
 

@@ -466,7 +466,8 @@ def inverse_fold(
 
     Raises InvalidTarget when the target fails the oracle's validation
     policy and SearchFailed when the budgets run out; a returned result
-    always re-folds to the target arc for arc.
+    always re-folds to the target arc for arc.  RuntimeError marks an
+    internal fault: more oracle calls than the budgets allow.
     """
     oracle = oracle or ReferenceFoldOracle()
     config = config or SearchConfig()
@@ -491,5 +492,8 @@ def inverse_fold(
         + len(plan.intervals) * config.phase_cap_factor * target.n
         + 2
     )
-    assert counting.calls <= budget, "oracle call budget exceeded"
+    if counting.calls > budget:
+        raise RuntimeError(
+            f"internal error: {counting.calls} oracle calls exceed the budget {budget}"
+        )
     return InvResult(final, target, counting.calls, trace)

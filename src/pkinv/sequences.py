@@ -14,7 +14,6 @@ here; insertions and deletions are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from .structure import LengthMismatch, Structure
@@ -50,38 +49,6 @@ def is_compatible(seq: str, s: Structure) -> bool:
 def _require_compatible(seq: str, s: Structure) -> None:
     if not is_compatible(seq, s):
         raise IncompatibleInput("sequence is not compatible with the structure")
-
-
-@dataclass(frozen=True)
-class SeqDecomposition:
-    """A sequence reorganized into its unpaired bases and its base pairs."""
-
-    unpaired: tuple[str, ...]
-    paired: tuple[tuple[str, str], ...]
-
-
-def decompose_sequence(seq: str, s: Structure) -> SeqDecomposition:
-    """Split seq into unpaired bases (ascending) and arc pairs (by start)."""
-    if len(seq) != s.n:
-        raise LengthMismatch(f"sequence length {len(seq)} != structure length {s.n}")
-    unpaired = tuple(
-        seq[w - 1] for w in range(1, s.n + 1) if s.partner[w] == 0
-    )
-    paired = tuple((seq[a.i - 1], seq[a.j - 1]) for a in s.arcs)
-    return SeqDecomposition(unpaired, paired)
-
-
-def reassemble_sequence(dec: SeqDecomposition, s: Structure) -> str:
-    """Inverse of decompose_sequence for the same structure."""
-    out = [""] * s.n
-    unpaired_iter = iter(dec.unpaired)
-    for w in range(1, s.n + 1):
-        if s.partner[w] == 0:
-            out[w - 1] = next(unpaired_iter)
-    for arc, (x, y) in zip(s.arcs, dec.paired):
-        out[arc.i - 1] = x
-        out[arc.j - 1] = y
-    return "".join(out)
 
 
 def random_compatible_sequence(target: Structure, rng: Random) -> str:

@@ -3,8 +3,8 @@
 Structures are sets of arcs (i, j) over positions 1..n drawn in the upper
 half-plane, with every position in at most one arc.  This module owns
 parsing and serialization of the extended dot-bracket notation, crossing
-analysis, canonicity validation, structure distance, and the derived
-views (stacks, core, L-graph) used by the rest of the package.
+analysis, canonicity validation, structure distance, and the stack
+view used by the rest of the package.
 """
 
 from __future__ import annotations
@@ -48,6 +48,16 @@ class OutOfRange(ValueError):
     """A position lies outside [1, n]."""
 
 
+def _crosses(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Arcs given as tuples (i, j, ...) cross: i1 < i2 < j1 < j2 or vice versa."""
+    return a[0] < b[0] < a[1] < b[1] or b[0] < a[0] < b[1] < a[1]
+
+
+def _nested(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Arc a nests strictly inside arc b: b.i < a.i < a.j < b.j."""
+    return b[0] < a[0] and a[1] < b[1]
+
+
 class Arc(NamedTuple):
     """Base pair (i, j) with 1 <= i < j.  Arc length is j - i."""
 
@@ -58,15 +68,8 @@ class Arc(NamedTuple):
     def length(self) -> int:
         return self.j - self.i
 
-    def crosses(self, other: "Arc") -> bool:
-        return (
-            self.i < other.i < self.j < other.j
-            or other.i < self.i < other.j < self.j
-        )
-
-    def nests_inside(self, other: "Arc") -> bool:
-        """Strict nesting: other.i < i < j < other.j."""
-        return other.i < self.i and self.j < other.j
+    crosses = _crosses
+    nests_inside = _nested
 
 
 @dataclass(frozen=True)
@@ -319,83 +322,6 @@ def structure_distance(s1: Structure, s2: Structure) -> int:
     if s1.n != s2.n:
         raise LengthMismatch(f"structure lengths differ: {s1.n} != {s2.n}")
     return sum(a != b for a, b in zip(s1.partner[1:], s2.partner[1:]))
-
-
-def core_of(s: Structure) -> Structure:
-    """Collapse every stack to a single arc and drop the freed positions.
-
-    The outermost arc of each stack survives; interior stack positions are
-    removed and the remaining positions renumbered in order.
-    """
-    removed: set[int] = set()
-    kept_arcs: list[Arc] = []
-    for stack in stacks(s):
-        outer = stack.outer
-        if stack.size > 1:
-            removed.update(range(outer.i + 1, outer.i + stack.size))
-            removed.update(range(outer.j - stack.size + 1, outer.j))
-        kept_arcs.append(outer)
-    new_pos = {}
-    count = 0
-    for w in range(1, s.n + 1):
-        if w in removed:
-            continue
-        count += 1
-        new_pos[w] = count
-    return Structure(count, tuple(Arc(new_pos[a.i], new_pos[a.j]) for a in kept_arcs))
-
-
-def l_graph_of(s: Structure) -> dict[Arc, frozenset[Arc]]:
-    """Graph with arcs as vertices and an edge between every crossing pair."""
-    graph: dict[Arc, set[Arc]] = {arc: set() for arc in s.arcs}
-    for idx, a in enumerate(s.arcs):
-        for b in s.arcs[idx + 1 :]:
-            if a.crosses(b):
-                graph[a].add(b)
-                graph[b].add(a)
-    return {arc: frozenset(neigh) for arc, neigh in graph.items()}
-
-
-def _graph_is_connected(graph: dict[Arc, frozenset[Arc]]) -> bool:
-    if not graph:
-        return False
-    start = next(iter(graph))
-    seen = {start}
-    todo = [start]
-    while todo:
-        for neigh in graph[todo.pop()]:
-            if neigh not in seen:
-                seen.add(neigh)
-                todo.append(neigh)
-    return len(seen) == len(graph)
-
-
-def is_skeleton(s: Structure) -> bool:
-    """True when the core has no noncrossing arc and the L-graph is connected.
-
-    The empty diagram is not a skeleton: there is no crossing component.
-    """
-    if not s.arcs:
-        return False
-    core = core_of(s)
-    graph = l_graph_of(core)
-    if any(not neigh for neigh in graph.values()):
-        return False
-    return _graph_is_connected(l_graph_of(s))
-
-
-def is_motif(s: Structure, sigma: int) -> bool:
-    """True when every nesting-maximal stack has size exactly sigma."""
-    all_stacks = stacks(s)
-    for stack in all_stacks:
-        nested = any(
-            stack.outer.nests_inside(other.inner)
-            for other in all_stacks
-            if other is not stack
-        )
-        if not nested and stack.size != sigma:
-            return False
-    return True
 
 
 def restrict_structure(s: Structure, lo: int, hi: int) -> Structure:

@@ -1,9 +1,12 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import hashlib
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from pkinv import cli
 from pkinv.cli import main
 
 from .helpers import PSEUDOKNOT_18
@@ -95,6 +98,47 @@ class TestInverse:
         explicit = run("inverse", "--target", "(((....)))", "--seed", "9",
                        "--format", "jsonl")
         assert with_env.output == explicit.output
+
+
+    def test_campaign_output_is_pinned(self):
+        # the jsonl campaign output is a cross-commit determinism contract
+        result = run(
+            "inverse", "--target", PSEUDOKNOT_18,
+            "--trials", "4", "--seed", "5", "--format", "jsonl",
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == (
+            "6c089675df5810029224cbb5226f58253351849d9a1f3dda48cea3166f40ce7d"
+        )
+
+    def test_text_report_p90_is_nearest_rank(self, monkeypatch):
+        def failed_trial(spec):
+            return {
+                "trial": spec.trial, "seed": spec.seed,
+                "target": spec.target_text, "success": False,
+                "sequence": None, "oracle_calls": 0,
+                "_elapsed": float(spec.trial + 1),
+            }
+
+        monkeypatch.setattr(cli, "_run_trial", failed_trial)
+        result = run("inverse", "--target", "(((....)))", "--trials", "5")
+        assert result.exit_code == 1
+        assert "p90_time=5.000s" in result.output.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["-N", "0"], ["--trials", "-1"], ["--jobs", "0"]],
+    )
+    def test_out_of_range_option_exits_2(self, extra):
+        result = run("inverse", "--target", "(((....)))", *extra)
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+
+    def test_target_past_length_guard_exits_2(self):
+        result = run("inverse", "--target", "(((" + ":" * 35 + ")))")
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert "length 41 exceeds" in result.output
 
 
 class TestFoldCommand:

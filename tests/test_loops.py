@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +9,13 @@ from pkinv import (
     Arc,
     Structure,
     build_intervals,
-    crossing_set,
     decompose_loops,
-    minimal_crossing_arcs,
+    enumerate_structures,
     order_loops,
     parse_structure,
+    stacks,
 )
-from pkinv.loops import ArcNotInStructure
+from pkinv.loops import loop_census
 
 from .helpers import (
     ORDERED_COMPONENTS_65,
@@ -34,29 +33,7 @@ def seeds():
 
 
 class TestCrossingSets:
-    def test_uncrossed_arc(self):
-        assert crossing_set(HAIRPIN, Arc(1, 10)) == ()
-
-    def test_pseudoknot_crossings(self):
-        assert crossing_set(PK18, Arc(3, 11)) == (Arc(6, 18), Arc(7, 17), Arc(8, 16))
-        assert crossing_set(PK18, Arc(6, 18)) == (Arc(1, 13), Arc(2, 12), Arc(3, 11))
-
-    def test_missing_arc(self):
-        with pytest.raises(ArcNotInStructure):
-            crossing_set(HAIRPIN, Arc(1, 9))
-
-    def test_minimal_empty(self):
-        assert minimal_crossing_arcs(HAIRPIN, Arc(1, 10)) == ()
-
-    def test_minimal_is_innermost(self):
-        assert minimal_crossing_arcs(PK18, Arc(1, 13)) == (Arc(8, 16),)
-        assert minimal_crossing_arcs(PK18, Arc(8, 16)) == (Arc(3, 11),)
-
-    def test_minimality_is_asymmetric(self):
-        # (8,16) is minimal among the arcs crossing (1,13) ...
-        assert Arc(8, 16) in minimal_crossing_arcs(PK18, Arc(1, 13))
-        # ... but (1,13) is not minimal among the arcs crossing (8,16).
-        assert Arc(1, 13) not in minimal_crossing_arcs(PK18, Arc(8, 16))
+    """Relations between the arcs of one structure."""
 
     @settings(max_examples=100, deadline=None)
     @given(seeds(), st.integers(10, 24))
@@ -211,6 +188,41 @@ class TestDecompose:
                     )
                 ]
                 assert witnesses, (s.arcs, stack)
+
+
+def census_of(s: Structure):
+    return loop_census([(*st.outer, st.size) for st in stacks(s)])
+
+
+def decomposition_counts(s: Structure):
+    """Loop-kind counts in census order, read off the arc-level decomposition."""
+    loops = decompose_loops(s)
+    return (
+        sum(lp.kind == "hairpin" for lp in loops),
+        sum(lp.kind == "interior" and not lp.is_stacked_pair for lp in loops),
+        sum(lp.is_stacked_pair for lp in loops),
+        sum(lp.kind == "multi" for lp in loops),
+        sum(lp.kind == "pseudoknot" for lp in loops),
+    )
+
+
+class TestLoopCensus:
+    def test_known_structures(self):
+        assert census_of(Structure(6, ())) == (0, 0, 0, 0, 0)
+        assert census_of(HAIRPIN) == (1, 0, 2, 0, 0)
+        assert census_of(PK18) == (0, 0, 0, 0, 1)
+        assert census_of(ORDERED_COMPONENTS_65) == (2, 0, 7, 1, 1)
+
+    def test_matches_decomposition_on_every_small_structure(self):
+        for n in range(17):
+            for s in enumerate_structures(n):
+                assert census_of(s) == decomposition_counts(s), s.arcs
+
+    @settings(max_examples=300, deadline=None)
+    @given(seeds(), st.integers(10, 40))
+    def test_matches_decomposition_on_random_structures(self, seed, n):
+        s = random_valid_structure(random.Random(seed), n, max_stacks=6)
+        assert census_of(s) == decomposition_counts(s)
 
 
 class TestOrderAndIntervals:

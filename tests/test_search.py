@@ -296,6 +296,19 @@ class TestInverseFold:
         bound = 3 * 6 + len(plan.intervals) * 10 * target.n + 2
         assert 0 < result.oracle_calls <= bound
 
+    def test_budget_overrun_raises(self, monkeypatch):
+        real_local_search = local_search
+
+        def wasteful(seq, target, plan, oracle, *args):
+            seq = real_local_search(seq, target, plan, oracle, *args)
+            for _ in range(len(plan.intervals) * 10 * target.n + 20):
+                oracle.fold(seq, 1)
+            return seq
+
+        monkeypatch.setattr("pkinv.search.local_search", wasteful)
+        with pytest.raises(RuntimeError, match="budget"):
+            inverse_fold(HAIRPIN_TEXT, ReferenceFoldOracle(), SearchConfig(rng_seed=7))
+
     def test_reproducible_from_seed(self):
         first = inverse_fold(
             PSEUDOKNOT_18, ReferenceFoldOracle(), SearchConfig(rng_seed=12)

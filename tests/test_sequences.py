@@ -13,16 +13,14 @@ from pkinv import (
     can_pair,
     compatible_distance,
     compatible_neighbors,
-    decompose_sequence,
     is_compatible,
     parse_structure,
     random_compatible_sequence,
-    reassemble_sequence,
 )
 from pkinv.sequences import PAIRS, IncompatibleInput
 from pkinv.structure import LengthMismatch
 
-from .helpers import random_sequence, random_valid_structure
+from .helpers import random_valid_structure
 
 HAIRPIN = parse_structure("(((....)))")
 
@@ -57,25 +55,6 @@ class TestCompatibility:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             is_compatible("AA", HAIRPIN)
-
-
-class TestDecomposition:
-    def test_no_arcs(self):
-        dec = decompose_sequence("ACGU", Structure(4, ()))
-        assert dec.unpaired == ("A", "C", "G", "U") and dec.paired == ()
-
-    def test_hairpin(self):
-        dec = decompose_sequence("GGGAAAACCC", HAIRPIN)
-        assert dec.unpaired == ("A", "A", "A", "A")
-        assert dec.paired == (("G", "C"), ("G", "C"), ("G", "C"))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(4, 24))
-    def test_round_trip(self, seed, n):
-        rng = random.Random(seed)
-        s = random_valid_structure(rng, max(n, 10))
-        seq = random_sequence(rng, s.n)
-        assert reassemble_sequence(decompose_sequence(seq, s), s) == seq
 
 
 class TestMakeStart:

@@ -10,11 +10,7 @@ from pkinv import (
     Arc,
     Structure,
     ValidationPolicy,
-    core_of,
     crossing_number,
-    is_motif,
-    is_skeleton,
-    l_graph_of,
     parse_structure,
     serialize_structure,
     stacks,
@@ -195,52 +191,6 @@ class TestDistance:
         )
         if structure_distance(a, b) == 0:
             assert a == b
-
-
-class TestCore:
-    def test_hairpin_collapses(self):
-        core = core_of(parse_structure(HAIRPIN))
-        assert core.n == 6 and core.arcs == (Arc(1, 6),)
-
-    def test_empty_unchanged(self):
-        assert core_of(Structure(4, ())) == Structure(4, ())
-
-    def test_pseudoknot_core(self):
-        core = core_of(parse_structure(PSEUDOKNOT_18))
-        assert core.n == 10 and core.arcs == (Arc(1, 7), Arc(4, 10))
-        assert crossing_number(core) == 2
-
-    @settings(max_examples=150, deadline=None)
-    @given(structures())
-    def test_idempotent(self, s):
-        assert core_of(core_of(s)) == core_of(s)
-
-
-class TestLGraphSkeletonMotif:
-    def test_hairpin_graph_has_no_edges(self):
-        graph = l_graph_of(parse_structure(HAIRPIN))
-        assert len(graph) == 3
-        assert sum(len(n) for n in graph.values()) == 0
-
-    def test_pseudoknot_graph_is_complete_bipartite(self):
-        graph = l_graph_of(parse_structure(PSEUDOKNOT_18))
-        assert sum(len(n) for n in graph.values()) // 2 == 9
-
-    def test_empty_graph(self):
-        assert l_graph_of(Structure(3, ())) == {}
-
-    def test_hairpin_is_not_skeleton(self):
-        assert not is_skeleton(parse_structure(HAIRPIN))
-
-    def test_pseudoknot_is_skeleton(self):
-        assert is_skeleton(parse_structure(PSEUDOKNOT_18))
-
-    def test_hairpin_is_motif_at_three(self):
-        assert is_motif(parse_structure(HAIRPIN), 3)
-        assert not is_motif(parse_structure(HAIRPIN), 2)
-
-    def test_pseudoknot_is_motif_at_three(self):
-        assert is_motif(parse_structure(PSEUDOKNOT_18), 3)
 
 
 class TestPartnerAccess:
