@@ -41,21 +41,22 @@ def _read_structure_argument(value: str) -> str:
     if value and set(value) <= _STRUCTURE_CHARS:
         return value
     if os.path.exists(value):
-        for line in open(value):
-            line = line.strip()
-            if line:
-                return line
+        with open(value) as handle:
+            for line in handle:
+                line = line.strip()
+                if line:
+                    return line
         raise click.ClickException(f"no structure found in {value}")
     return value  # let the parser report the offending character
 
 
-def _load_model(path: str | None) -> EnergyModel:
+def _load_model(ctx, param, path: str | None) -> EnergyModel:
     if path is None:
         return DEFAULT_MODEL
     try:
         return EnergyModel.from_file(path)
     except (OSError, ValueError) as exc:
-        raise click.ClickException(f"cannot load energy model: {exc}")
+        raise click.BadParameter(f"cannot load energy model: {exc}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def main():
 @click.option("--k", default=3, show_default=True, type=int)
 @click.option("--sigma", default=3, show_default=True, type=int)
 @click.option("--min-arc-length", default=4, show_default=True, type=int)
-@click.option("--model", "model_path", default=None, type=click.Path(),
+@click.option("--model", default=None, type=click.Path(), callback=_load_model,
               help="Energy model config file (key=value lines).")
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["text", "jsonl", "tsv"]))
@@ -127,12 +128,14 @@ def main():
               help="Write the search trace of each trial as JSON lines.")
 @click.pass_context
 def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
-            model_path, fmt, jobs, trace_path):
+            model, fmt, jobs, trace_path):
     """Find sequences folding into the target; batch mode prints a report."""
     target_text = _read_structure_argument(target)
-    model = _load_model(model_path)
     try:
         policy = ValidationPolicy(k, sigma, min_arc_length)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))  # an option error, not the target's
+    try:
         parsed = parse_structure(target_text)
     except ValueError as exc:
         click.echo("incorrect structure")
@@ -220,11 +223,10 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
 @click.option("--k", default=3, show_default=True, type=int)
 @click.option("--sigma", default=3, show_default=True, type=int)
 @click.option("--min-arc-length", default=4, show_default=True, type=int)
-@click.option("--model", "model_path", default=None, type=click.Path())
+@click.option("--model", default=None, type=click.Path(), callback=_load_model)
 @click.pass_context
-def fold_cmd(ctx, sequence, n_best, k, sigma, min_arc_length, model_path):
+def fold_cmd(ctx, sequence, n_best, k, sigma, min_arc_length, model):
     """Print the n best structures for a sequence as TSV."""
-    model = _load_model(model_path)
     try:
         validate_sequence(sequence)
         oracle = ReferenceFoldOracle(ValidationPolicy(k, sigma, min_arc_length),

@@ -152,8 +152,8 @@ def loop_census(
     Stacks are (i, j, size) triples for the runs (i, j), ..., (i + size - 1,
     j - size + 1); they must be maximal and pair disjoint positions, as
     stacks() returns them.  The counts are (hairpin, gapped interior,
-    stacked pair, multi, pseudoknot), in the order of
-    EnergyModel.loop_weights, and equal the loop kinds of decompose_loops:
+    stacked pair, multi, pseudoknot), as EnergyModel.loop_energy weighs
+    them, and equal the loop kinds of decompose_loops:
     a stack outside every pseudoknot closes size - 1 stacked pairs plus
     one loop given by its nesting-maximal children.
     """

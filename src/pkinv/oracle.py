@@ -1,4 +1,4 @@
-"""Reference folding oracle over an exhaustive, cached structure space.
+"""Reference folding oracle: exact enumeration of the structures a sequence can pair.
 
 The oracle contract is small: fold(seq, n_best) returns the n_best
 lowest-energy structures compatible with seq, sorted ascending, the first
@@ -10,23 +10,28 @@ base pair plus nonnegative penalties per loop.  The defaults reward long
 stacks and make pseudoknots pay for their crossings; all values can be
 overridden programmatically or from a key=value config file.
 
-Enumeration is exact and exponential, so it is guarded at desk scale.
+Enumeration is exact and exponential: it is guarded by length and capped
+at MAX_STRUCTURES structures per call.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from .loops import loop_census
-from .sequences import BASES, PAIRS, IncompatibleInput, _require_compatible
-from .structure import Arc, Structure, ValidationPolicy, _crosses, stacks
+from .sequences import BASES, PAIRS, IncompatibleInput, _PAIR_SET, _require_compatible
+from .structure import Structure, ValidationPolicy, stacks
 
 DEFAULT_SIZE_GUARD = 40
+# Structures one fold or enumeration may visit: above the 161k valid
+# structures of length 28, below what exhausts memory.
+MAX_STRUCTURES = 250_000
 
+# loop penalties, in the order of the loop_census counts they weigh
+_LOOP_PENALTIES = ("hairpin", "interior", "stacked", "multi", "pseudoknot")
 _DEFAULT_PAIR_SCORES = (
     ("AU", -2.0),
     ("CG", -3.0),
@@ -38,7 +43,7 @@ _DEFAULT_PAIR_SCORES = (
 
 
 class SizeGuard(ValueError):
-    """Refused to enumerate a structure space past the size guard."""
+    """Refused to enumerate past the length guard or the structure cap."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class EnergyModel:
             raise ValueError(f"pair_scores must cover exactly {PAIRS}")
         if any(v > 0 for v in scores.values()):
             raise ValueError("pair scores must be <= 0")
-        for name in ("hairpin", "interior", "stacked", "multi", "pseudoknot"):
+        for name in _LOOP_PENALTIES:
             if getattr(self, name) < 0:
                 raise ValueError(f"loop penalty {name} must be >= 0")
         object.__setattr__(
@@ -79,13 +84,7 @@ class EnergyModel:
             kind, _, name = key.partition(".")
             if kind == "pair" and name in pairs:
                 pairs[name] = float(value)
-            elif kind == "loop" and name in (
-                "hairpin",
-                "interior",
-                "stacked",
-                "multi",
-                "pseudoknot",
-            ):
+            elif kind == "loop" and name in _LOOP_PENALTIES:
                 penalties[name] = float(value)
             else:
                 raise ValueError(f"unknown energy model key {key!r}")
@@ -108,12 +107,10 @@ class EnergyModel:
     def pair_score(self, x: str, y: str) -> float:
         return dict(self.pair_scores)[x + y]
 
-    @property
-    def loop_weights(self) -> tuple[float, float, float, float, float]:
-        """Loop penalties in loop_census order: hairpin, gapped interior,
-        stacked pair, multi, pseudoknot."""
-        return (self.hairpin, self.interior, self.stacked, self.multi,
-                self.pseudoknot)
+    def loop_energy(self, census: tuple[int, ...]) -> float:
+        """Penalty sum over loop_census counts (hairpin, gapped interior,
+        stacked pair, multi, pseudoknot)."""
+        return sum(c * getattr(self, name) for c, name in zip(census, _LOOP_PENALTIES))
 
 
 DEFAULT_MODEL = EnergyModel()
@@ -142,7 +139,7 @@ def energy_of(
     _require_compatible(seq, s)
     total = sum(model.pair_score(seq[a.i - 1], seq[a.j - 1]) for a in s.arcs)
     census = loop_census([(*st.outer, st.size) for st in stacks(s)])
-    return total + sum(c * w for c, w in zip(census, model.loop_weights))
+    return total + model.loop_energy(census)
 
 
 def _guard(n: int, size_guard: int, force: bool) -> None:
@@ -153,152 +150,147 @@ def _guard(n: int, size_guard: int, force: bool) -> None:
         )
 
 
-def _stack_candidates(n: int, policy: ValidationPolicy):
+def _pair_masks(seq: str) -> list[int]:
+    """masks[p]: bit q set when position q can pair with position p (1-based)."""
+    at = {base: 0 for base in BASES}
+    try:
+        for pos, base in enumerate(seq, 1):
+            at[base] |= 1 << pos
+    except KeyError:
+        raise IncompatibleInput(f"sequence {seq!r} contains non-ACGU characters")
+    # the four bases hold disjoint positions, so their sum is their union
+    partners = {x: sum(at[y] for y in BASES if x + y in _PAIR_SET) for x in BASES}
+    return [0] + [partners[x] for x in seq]
+
+
+def _candidate_stacks(
+    policy: ValidationPolicy, masks: list[int]
+) -> list[tuple[int, int, int]]:
+    """Stacks (i, j, size) with size >= sigma whose arcs all pair.
+
+    Bit q of masks[p] says that positions p and q can pair (1-based).  Each
+    stack's innermost arc keeps the minimum arc length (never below 2, the
+    adjacent-pair bound).  The list is sorted by (i, j, size).
+    """
     lmin = max(policy.min_arc_length, 2)
     out = []
-    for i in range(1, n + 1):
-        for j in range(i + lmin, n + 1):
-            max_size = 1 + (j - i - lmin) // 2
-            for size in range(policy.sigma, max_size + 1):
-                mask = 0
-                for t in range(size):
-                    mask |= 1 << (i + t)
-                    mask |= 1 << (j - t)
-                out.append((i, j, size, mask))
+    for i in range(1, len(masks)):
+        # bit j of run: the arcs (i, j), ..., (i + size - 1, j - size + 1) pair
+        run, size = masks[i], 1
+        while True:
+            shortest = i + lmin + 2 * (size - 1)  # j keeping the inner arc long
+            run = run >> shortest << shortest
+            if not run:
+                break
+            if size >= policy.sigma:
+                out.extend((i, j, size) for j in _members(run))
+            run &= masks[i + size] << size
+            size += 1
+    out.sort()
     return out
 
 
-def _adjacent_runs(a, b) -> bool:
-    # Two stacks whose runs would merge into one longer parallel run.
-    ai, aj, asize, _ = a
-    bi, bj, bsize, _ = b
-    return (bi == ai + asize and bj == aj - asize) or (
-        ai == bi + bsize and aj == bj - bsize
-    )
+def _members(mask: int) -> list[int]:
+    """Set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _enumerate_stack_sets(
-    n: int, policy: ValidationPolicy
-) -> list[tuple[tuple[int, ...], tuple[int, int, int, int, int]]]:
-    """All valid structures, each exactly once, with their loop census.
+def _stack_sets(
+    n: int,
+    policy: ValidationPolicy,
+    candidates: list[tuple[int, int, int]],
+    scores: list[tuple[float, ...]],
+) -> tuple[list[float], list[int]]:
+    """Every valid structure built from the candidate stacks, each exactly once.
 
-    Structures are assembled from maximal stacks; forbidding two chosen
-    stacks from forming one longer run makes the stack decomposition
-    canonical, so no arc set appears twice.  The crossing bound rejects
-    any policy.k mutually crossing stacks.  Arcs are encoded as
-    i * (n + 1) + j so rows sort lexicographically like sorted arc lists.
+    A structure is a bit mask over candidates, which are sorted by (i, j,
+    size); its set bits, lowest first, are its maximal stacks, whose arcs
+    in that order form its sorted arc list.  Forbidding two chosen stacks
+    from forming one longer run makes the stack decomposition canonical,
+    so no arc set appears twice; the crossing bound rejects any policy.k
+    mutually crossing stacks.  Each structure comes with its pair-score
+    sum: the scores[c] of its candidates c, added in sorted arc order.
     """
-    candidates = _stack_candidates(n, policy)
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    cap = MAX_STRUCTURES
+    covering = [0] * (n + 2)  # candidates by paired position
+    opens = [0] * (n + 2)  # candidates by outer i, then by outer i <= p
+    closes = [0] * (n + 2)  # candidates by outer j, then by outer j <= p
+    ends: dict[tuple[int, int], int] = {}  # by outer arc and by the arc inside
+    for c, (i, j, size) in enumerate(candidates):
+        bit = 1 << c
+        for t in range(size):
+            covering[i + t] |= bit
+            covering[j - t] |= bit
+        opens[i] |= bit
+        closes[j] |= bit
+        for arc in ((i, j), (i + size, j - size)):
+            ends[arc] = ends.get(arc, 0) | bit
+    for p in range(1, n + 2):
+        opens[p] |= opens[p - 1]
+        closes[p] |= closes[p - 1]
+    compatible = []
+    crossing = []
+    for i, j, size in candidates:
+        # runs merge when one's outer arc lies just inside the other; any
+        # other shared end arc shares positions too
+        clash = ends[i, j] | ends[i + size, j - size]
+        for t in range(size):
+            clash |= covering[i + t] | covering[j - t]
+        compatible.append(~clash)
+        # outer arcs with i < i' < j < j' or i' < i < j' < j
+        crossing.append((opens[j - 1] & ~opens[i] & ~closes[j])
+                        | (opens[i - 1] & closes[j - 1] & ~closes[i]))
     max_mutual = policy.k - 1
-    results: list[tuple[tuple[int, ...], tuple[int, int, int, int, int]]] = []
-    span = n + 1
+    sums: list[float] = []
+    sets: list[int] = []
 
-    def addable(chosen: list[int], idx: int) -> bool:
-        cand = candidates[idx]
-        crossers: list[tuple[int, int, int, int]] = []
-        for c in chosen:
-            other = candidates[c]
-            if _adjacent_runs(cand, other):
-                return False
-            if _crosses(cand, other):
-                crossers.append(other)
-        if len(crossers) >= max_mutual:
-            # adding cand must not complete a (max_mutual + 1)-clique
-            def clique(size: int, rest: list[tuple[int, int, int, int]]) -> bool:
-                if size == max_mutual:
-                    return True
-                for t, arc in enumerate(rest):
-                    if clique(
-                        size + 1,
-                        [o for o in rest[t + 1 :] if _crosses(o, arc)],
-                    ):
-                        return True
-                return False
+    def clique(mask: int, size: int) -> bool:
+        # mask holds size mutually crossing candidates
+        if size == 0:
+            return True
+        while mask.bit_count() >= size:
+            low = mask & -mask
+            mask ^= low
+            if clique(mask & crossing[low.bit_length() - 1], size - 1):
+                return True
+        return False
 
-            if clique(0, crossers):
-                return False
-        return True
-
-    def emit(chosen: list[int]) -> None:
-        arcs: list[int] = []
-        stacks_ = []
-        for c in chosen:
-            i, j, size, _ = candidates[c]
-            stacks_.append((i, j, size))
-            arcs.extend((i + t) * span + (j - t) for t in range(size))
-        results.append((tuple(sorted(arcs)), loop_census(stacks_)))
-
-    def rec(start: int, used: int, chosen: list[int]) -> None:
-        emit(chosen)
-        for idx in range(start, len(candidates)):
-            if used & candidates[idx][3]:
+    def rec(allowed: int, chosen: int, total: float) -> None:
+        sums.append(total)
+        sets.append(chosen)
+        if len(sets) > cap:
+            raise SizeGuard(f"more than {cap} structures to enumerate at "
+                            f"length {n}; the cap bounds time and memory")
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            c = low.bit_length() - 1
+            crossers = crossing[c] & chosen
+            if crossers.bit_count() >= max_mutual and clique(crossers, max_mutual):
                 continue
-            if not addable(chosen, idx):
-                continue
-            chosen.append(idx)
-            rec(idx + 1, used | candidates[idx][3], chosen)
-            chosen.pop()
+            extended = total
+            for score in scores[c]:
+                extended += score
+            rec(allowed & compatible[c], chosen | low, extended)
 
-    rec(0, 0, [])
-    results.sort()
-    return results
+    rec((1 << len(candidates)) - 1, 0, 0.0)
+    return sums, sets
 
 
-class _FoldTable:
-    """Vectorized view of one enumerated structure space."""
-
-    def __init__(self, n: int, policy: ValidationPolicy):
-        self.n = n
-        self.policy = policy
-        entries = _enumerate_stack_sets(n, policy)
-        self.size = len(entries)
-        arc_ids: dict[int, int] = {}
-        rows = []
-        counts = np.zeros((self.size, 5), dtype=np.int32)
-        for row, (encoded_arcs, census) in enumerate(entries):
-            rows.append(
-                [arc_ids.setdefault(code, len(arc_ids)) for code in encoded_arcs]
-            )
-            counts[row] = census
-        self._loop_counts = counts
-        pad = len(arc_ids)
-        width = max((len(r) for r in rows), default=0)
-        matrix = np.full((self.size, max(width, 1)), pad, dtype=np.int32)
-        for row, ids in enumerate(rows):
-            matrix[row, : len(ids)] = ids
-        self.arc_matrix = matrix
-        span = n + 1
-        self.arc_i = np.array([code // span - 1 for code in arc_ids], dtype=np.int32)
-        self.arc_j = np.array([code % span - 1 for code in arc_ids], dtype=np.int32)
-        self._penalties: dict[EnergyModel, np.ndarray] = {}
-
-    def penalties(self, model: EnergyModel) -> np.ndarray:
-        cached = self._penalties.get(model)
-        if cached is None:
-            cached = self._loop_counts @ np.array(model.loop_weights)
-            self._penalties[model] = cached
-        return cached
-
-    def structure(self, row: int) -> Structure:
-        ids = self.arc_matrix[row]
-        ids = ids[ids < len(self.arc_i)]
-        arcs = tuple(
-            Arc(int(self.arc_i[k]) + 1, int(self.arc_j[k]) + 1) for k in ids
-        )
-        return Structure(self.n, arcs)
-
-
-_TABLES: dict[tuple[int, ValidationPolicy], _FoldTable] = {}
-
-
-def _get_table(n: int, policy: ValidationPolicy) -> _FoldTable:
-    key = (n, policy)
-    table = _TABLES.get(key)
-    if table is None:
-        table = _FoldTable(n, policy)
-        _TABLES[key] = table
-    return table
+def _arcs(
+    candidates: list[tuple[int, int, int]], members: list[int]
+) -> tuple[tuple[int, int], ...]:
+    """Sorted arc list of the stack set with the given candidate indices."""
+    return tuple(
+        (i + t, j - t)
+        for i, j, size in (candidates[c] for c in members)
+        for t in range(size)
+    )
 
 
 def enumerate_structures(
@@ -313,23 +305,10 @@ def enumerate_structures(
         raise ValueError("length must be nonnegative")
     _guard(n, size_guard, force)
     policy = policy or ValidationPolicy()
-    table = _get_table(n, policy)
-    for row in range(table.size):
-        yield table.structure(row)
-
-
-def _base_indices(seq: str) -> np.ndarray:
-    try:
-        return np.array([BASES.index(c) for c in seq], dtype=np.int32)
-    except ValueError:
-        raise IncompatibleInput(f"sequence {seq!r} contains non-ACGU characters")
-
-
-def _pair_matrix(model: EnergyModel) -> np.ndarray:
-    matrix = np.full((4, 4), np.inf)
-    for pair, score in model.pair_scores:
-        matrix[BASES.index(pair[0]), BASES.index(pair[1])] = score
-    return matrix
+    candidates = _candidate_stacks(policy, [(1 << (n + 1)) - 2] * (n + 1))
+    _, sets = _stack_sets(n, policy, candidates, [()] * len(candidates))
+    for arcs in sorted(_arcs(candidates, _members(chosen)) for chosen in sets):
+        yield Structure(n, arcs)
 
 
 def fold(
@@ -346,25 +325,43 @@ def fold(
     Energy ties break toward the lexicographically smallest sorted arc
     list, so results are fully deterministic.  Fewer than n_best
     structures come back when the compatible space is smaller.
+
+    Only stacks whose pairs all bond with seq are enumerated.  Loop
+    penalties are >= 0 and a nonempty structure closes a hairpin or a
+    pseudoknot loop, so its pair-score sum plus the smaller of those two
+    penalties bounds its energy from below.  Structures are scored in
+    ascending bound until the bound exceeds the n_best-th energy found.
     """
     if n_best < 1:
         raise ValueError("n_best must be at least 1")
     policy = policy or ValidationPolicy()
-    _guard(len(seq), size_guard, force)
-    table = _get_table(len(seq), policy)
-    base = _base_indices(seq)
-    if len(table.arc_i):
-        arc_scores = _pair_matrix(model)[base[table.arc_i], base[table.arc_j]]
-    else:
-        arc_scores = np.zeros(0)
-    extended = np.append(arc_scores, 0.0)
-    energies = table.penalties(model) + extended[table.arc_matrix].sum(axis=1)
-    finite = np.flatnonzero(np.isfinite(energies))
-    # stable sort on a lexicographically pre-sorted table fixes tie order
-    order = finite[np.argsort(energies[finite], kind="stable")][:n_best]
+    n = len(seq)
+    _guard(n, size_guard, force)
+    candidates = _candidate_stacks(policy, _pair_masks(seq))
+    pair = dict(model.pair_scores)
+    scores = [
+        tuple(pair[seq[i + t - 1] + seq[j - t - 1]] for t in range(size))
+        for i, j, size in candidates
+    ]
+    sums, sets = _stack_sets(n, policy, candidates, scores)
+    floor = min(model.hairpin, model.pseudoknot)
+    bounds = [total + floor if chosen else total for total, chosen in zip(sums, sets)]
+    lowest: list[float] = []  # the n_best lowest energies so far
+    scored = []
+    for row in sorted(range(len(sums)), key=bounds.__getitem__):
+        if len(lowest) == n_best and bounds[row] > lowest[-1]:
+            break
+        members = _members(sets[row])
+        census = loop_census([candidates[c] for c in members])
+        energy = sums[row] + model.loop_energy(census)
+        insort(lowest, energy)
+        del lowest[n_best:]
+        scored.append((energy, members))
+    best = sorted((energy, _arcs(candidates, members))
+                  for energy, members in scored if energy <= lowest[-1])[:n_best]
     return FoldResult(
-        tuple(table.structure(int(row)) for row in order),
-        tuple(float(energies[int(row)]) for row in order),
+        tuple(Structure(n, arcs) for _, arcs in best),
+        tuple(energy for energy, _ in best),
     )
 
 

@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import gc
 import hashlib
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
 
-from pkinv import cli
+from pkinv import cli, oracle
 from pkinv.cli import main
 
 from .helpers import PSEUDOKNOT_18
@@ -134,11 +136,42 @@ class TestInverse:
         assert result.exit_code == 2
         assert "Traceback" not in result.output
 
+    def test_policy_option_error_is_not_a_target_error(self):
+        result = run("inverse", "--target", "(((....)))", "--k", "1")
+        assert result.exit_code == 2
+        assert "k must be at least 2" in result.output
+        assert "incorrect structure" not in result.output
+
+    def test_target_file_is_closed(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("\n(((....)))\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli._read_structure_argument(str(path)) == "(((....)))"
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     def test_target_past_length_guard_exits_2(self):
         result = run("inverse", "--target", "(((" + ":" * 35 + ")))")
         assert result.exit_code == 2
         assert "Traceback" not in result.output
         assert "length 41 exceeds" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["inverse", "--target", "(((....)))"],
+    ["fold", "GGGAAAACCC"],
+], ids=["inverse", "fold"])
+@pytest.mark.parametrize("content", [None, "loop.bogus = 1\n", "pair.GC\n"],
+                         ids=["missing", "unknown-key", "no-value"])
+def test_model_load_error_exits_2(tmp_path, command, content):
+    path = tmp_path / "model.cfg"
+    if content is not None:
+        path.write_text(content)
+    result = run(*command, "--model", str(path))
+    assert result.exit_code == 2
+    assert "cannot load energy model" in result.output
+    assert "Traceback" not in result.output
 
 
 class TestFoldCommand:
@@ -156,6 +189,31 @@ class TestFoldCommand:
     def test_bad_sequence_exits_2(self):
         result = run("fold", "GGXC")
         assert result.exit_code == 2
+
+    def test_output_is_pinned(self):
+        # fold -N 50 output is a cross-commit contract, like the campaign's
+        sequences = (
+            "AGACUUUCAAAGAUAUGCUGGGUA",
+            "GGGAACCCAACCCAAGGGAAGGCCUUC",
+            "GCGCGCAUAUGCGCGCAUAUGCGCG",
+            "GAGGUCGAGGUUAUUAUUUGUUACCA",
+            "AUUCUCAUUGUGUUUCGGAACUUGCGUU",
+        )
+        output = ""
+        for seq in sequences:
+            result = run("fold", seq, "-N", "50")
+            assert result.exit_code == 0
+            output += result.output
+        assert hashlib.sha256(output.encode()).hexdigest() == (
+            "93976f91cd0949ed5eace014d79cb657b35cd310fc2c4a7f5616a55e215d08ca"
+        )
+
+    def test_past_structure_cap_exits_2(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_STRUCTURES", 1000)
+        result = run("fold", "GC" * 14)
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1
+        assert "more than 1000 structures" in result.output
 
     def test_model_file(self, tmp_path):
         path = tmp_path / "m.cfg"

@@ -1,11 +1,17 @@
 """The reference folding oracle against its independent brute-force twin."""
 
+import os
 import random
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pkinv
 from pkinv import (
     Structure,
     ValidationPolicy,
@@ -16,6 +22,7 @@ from pkinv import (
     parse_structure,
     validate_target,
 )
+from pkinv import oracle
 from pkinv.oracle import EnergyModel, ReferenceFoldOracle, SizeGuard
 from pkinv.sequences import IncompatibleInput
 
@@ -28,6 +35,11 @@ from .helpers import (
 )
 
 HAIRPIN = parse_structure("(((....)))")
+
+
+@lru_cache(maxsize=None)
+def all_structures(n):
+    return tuple(enumerate_structures(n))
 
 
 class TestEnumerate:
@@ -52,6 +64,12 @@ class TestEnumerate:
         with pytest.raises(SizeGuard):
             list(enumerate_structures(13, size_guard=12))
         assert sum(1 for _ in enumerate_structures(13, size_guard=12, force=True)) > 0
+
+    def test_structure_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_STRUCTURES", 100)
+        with pytest.raises(SizeGuard, match="more than 100 structures"):
+            list(enumerate_structures(16))  # 176 structures
+        assert sum(1 for _ in enumerate_structures(14)) <= 100
 
     @pytest.mark.parametrize(
         "policy",
@@ -169,6 +187,38 @@ class TestFold:
     def test_mfe_matches_naive_minimum(self, seed, n):
         seq = random_sequence(random.Random(seed), n)
         assert fold(seq).mfe_energy == naive_min_energy(seq)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(9, 24),
+        st.sampled_from(("ACGU", "GCU", "GC")),
+    )
+    def test_equals_scored_enumeration(self, seed, n, alphabet):
+        rng = random.Random(seed)
+        seq = "".join(rng.choice(alphabet) for _ in range(n))
+        expected = sorted(
+            (energy_of(seq, s), s.arcs)
+            for s in all_structures(n)
+            if is_compatible(seq, s)
+        )
+        for n_best in (1, 50):
+            result = fold(seq, n_best)
+            got = [(e, s.arcs) for s, e in zip(result.structures, result.energies)]
+            assert got == expected[:n_best]
+
+    def test_structure_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_STRUCTURES", 1000)
+        with pytest.raises(SizeGuard, match="more than 1000 structures"):
+            fold("GC" * 12)  # 2815 compatible structures
+        assert fold("GC" * 10, 50).mfe_energy < 0
+
+    def test_package_import_leaves_numpy_out(self):
+        code = "import sys, pkinv.cli; print('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(pkinv.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestOracleObject:
