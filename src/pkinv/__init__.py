@@ -31,6 +31,7 @@ from .search import (
     SearchTrace,
     adjust_sequence,
     build_competitors,
+    competitor_census,
     inverse_fold,
     local_search,
     mutate_against_competitors,

@@ -17,6 +17,7 @@ at MAX_STRUCTURES structures per call.
 from __future__ import annotations
 
 from bisect import insort
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -29,6 +30,10 @@ DEFAULT_SIZE_GUARD = 40
 # Structures one fold or enumeration may visit: above the 161k valid
 # structures of length 28, below what exhausts memory.
 MAX_STRUCTURES = 250_000
+# Fold results one ReferenceFoldOracle keeps, least recently used out
+# first: a design asks for about 16 distinct folds, and its repeats fall
+# within the last 256.
+MAX_MEMO_ENTRIES = 4096
 
 # loop penalties, in the order of the loop_census counts they weigh
 _LOOP_PENALTIES = ("hairpin", "interior", "stacked", "multi", "pseudoknot")
@@ -366,7 +371,7 @@ def fold(
 
 
 class ReferenceFoldOracle:
-    """Exhaustive folding oracle with per-instance memoization.
+    """Exhaustive folding oracle with a per-instance LRU memo.
 
     Duck-typed contract for any substitute: a ``policy`` attribute and a
     ``fold(seq, n_best=1) -> FoldResult`` method that is deterministic
@@ -385,11 +390,12 @@ class ReferenceFoldOracle:
         self.model = model
         self.size_guard = size_guard
         self.force = force
-        self._cache: dict[tuple[str, int], FoldResult] = {}
+        self._cache: OrderedDict[tuple[str, int], FoldResult] = OrderedDict()
 
     def fold(self, seq: str, n_best: int = 1) -> FoldResult:
         key = (seq, n_best)
-        result = self._cache.get(key)
+        # pop with a default, never del: a concurrent caller may have evicted it
+        result = self._cache.pop(key, None)
         if result is None:
             result = fold(
                 seq,
@@ -399,5 +405,7 @@ class ReferenceFoldOracle:
                 size_guard=self.size_guard,
                 force=self.force,
             )
-            self._cache[key] = result
+        self._cache[key] = result
+        if len(self._cache) > MAX_MEMO_ENTRIES:
+            self._cache.popitem(last=False)
         return result

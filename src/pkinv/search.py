@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from random import Random
+from typing import NamedTuple
 
 from .loops import ArcNotInStructure, IntervalPlan, build_intervals
 from .oracle import FoldResult, ReferenceFoldOracle
@@ -111,17 +112,16 @@ class SearchTrace:
         return "\n".join(json.dumps(asdict(r)) for r in self.records)
 
 
-@dataclass(frozen=True)
-class CompetitorSet:
-    """Deduplicated rival structures: consistent, compatible, not the target."""
+class CompetitorCensus(NamedTuple):
+    """What the competitors of a round say about each position 0..n.
 
-    structures: tuple[Structure, ...]
+    flagged[w]: some competitor pairs w differently from the target.
+    rivals[w]: the partners competitors give w; it may hold the target's
+    own partner, which mutation ignores.
+    """
 
-    def __len__(self) -> int:
-        return len(self.structures)
-
-    def __iter__(self):
-        return iter(self.structures)
+    flagged: list[bool]
+    rivals: list[set[int]]
 
 
 @dataclass(frozen=True)
@@ -179,11 +179,13 @@ def perturb_arc(s: Structure, arc: Arc) -> list[tuple[Arc, ...]]:
 
 def build_competitors(
     seq: str, fold_result: FoldResult, target: Structure
-) -> CompetitorSet:
+) -> tuple[Structure, ...]:
     """Perturb every arc of every suboptimal structure and keep the survivors.
 
     Dropped: duplicates, structures pairing a position twice, structures
-    with an arc the sequence cannot pair, and the target itself.
+    with an arc the sequence cannot pair, and the target itself.  The
+    search reads competitors through competitor_census; this is its
+    reference.
     """
     n = target.n
     survivors: dict[tuple[Arc, ...], Structure] = {}
@@ -199,12 +201,55 @@ def build_competitors(
                 if not all(can_pair(seq[a.i - 1], seq[a.j - 1]) for a in arcs):
                     continue  # incompatible with the sequence
                 survivors[arcs] = Structure(n, arcs)
-    ordered = tuple(survivors[key] for key in sorted(survivors))
-    return CompetitorSet(ordered)
+    return tuple(survivors[key] for key in sorted(survivors))
+
+
+def competitor_census(
+    seq: str, fold_result: FoldResult, target: Structure
+) -> CompetitorCensus:
+    """The census of build_competitors' survivors, without building them.
+
+    Every nonempty fold structure S is its own unshifted perturbation, so
+    S's whole partner vector counts.  A perturbation at arc (i0, j0)
+    differs from S only at its touched ends: deletion leaves 0 at i0 and
+    j0, and a shift to (i, j) pairs i with j when it stays in range with
+    i < j, lands on ends free in S minus the arc, and can pair.
+    Deduplication is not needed, nor is dropping the target: its entries
+    are the target partners, which mutation ignores.
+    """
+    n = target.n
+    seen: set[tuple[int, int]] = set()  # (position, partner)
+    for s in fold_result.structures:
+        if not s.arcs:
+            continue
+        partner = s.partner
+        seen.update(enumerate(partner))
+        for i0, j0 in s.arcs:
+            seen.add((i0, 0))
+            seen.add((j0, 0))
+            for i in (i0 - 1, i0, i0 + 1):
+                for j in (j0 - 1, j0, j0 + 1):
+                    if (
+                        1 <= i < j <= n
+                        and (partner[i] == 0 or i in (i0, j0))
+                        and (partner[j] == 0 or j in (i0, j0))
+                        and can_pair(seq[i - 1], seq[j - 1])
+                    ):
+                        seen.add((i, j))
+                        seen.add((j, i))
+    target_partner = target.partner
+    flagged = [False] * (n + 1)
+    rivals: list[set[int]] = [set() for _ in range(n + 1)]
+    for w, p in seen:
+        if p != target_partner[w]:
+            flagged[w] = True
+        if p:
+            rivals[w].add(p)
+    return CompetitorCensus(flagged, rivals)
 
 
 def mutate_against_competitors(
-    seq: str, target: Structure, competitors: CompetitorSet, rng: Random
+    seq: str, target: Structure, census: CompetitorCensus, rng: Random
 ) -> MutationOutcome:
     """Redraw every position where some competitor pairs differently.
 
@@ -215,32 +260,21 @@ def mutate_against_competitors(
     the constraints the position falls back to an unconstrained
     target-compatible redraw and is flagged.
     """
-    n = target.n
-    flagged = [False] * (n + 1)
-    partners: list[set[int]] = [set() for _ in range(n + 1)]
-    for comp in competitors:
-        for w in range(1, n + 1):
-            p = comp.partner[w]
-            if p != target.partner[w]:
-                flagged[w] = True
-            if p:
-                partners[w].add(p)
-
+    flagged, rivals = census
     new = list(seq)
     mutated: list[int] = []
     fallbacks: list[int] = []
-    for w in range(1, n + 1):
+    for w in range(1, target.n + 1):
         v = target.partner[w]
         if v == 0:
             if not flagged[w]:
                 continue
             old = seq[w - 1]
-            enemies = sorted(partners[w])
             options = [
                 b
                 for b in BASES
                 if b != old
-                and all(not can_pair(b, seq[u - 1]) for u in enemies)
+                and all(not can_pair(b, seq[u - 1]) for u in rivals[w])
             ]
             if options:
                 new[w - 1] = rng.choice(options)
@@ -252,12 +286,11 @@ def mutate_against_competitors(
             if not (flagged[w] or flagged[v]):
                 continue
             old_pair = seq[w - 1] + seq[v - 1]
-            enemies = sorted(partners[w] - {v})
             options = [
                 p
                 for p in PAIRS
                 if p != old_pair
-                and all(not can_pair(p[0], seq[u - 1]) for u in enemies)
+                and all(u == v or not can_pair(p[0], seq[u - 1]) for u in rivals[w])
             ]
             if options:
                 pair = rng.choice(options)
@@ -281,7 +314,7 @@ def adjust_sequence(
     """Globally adjust the start sequence against competing folds.
 
     Per round: fold with the suboptimal list, stop at distance zero,
-    track the best sequence seen, build competitors, and mutate.  A
+    track the best sequence seen, take the competitor census, and mutate.  A
     mutation is accepted when its fold lands within the distance slack of
     the best distance; otherwise up to mutation_retries mutations are
     drawn and the closest one is kept.  When the rounds run out the best
@@ -300,13 +333,12 @@ def adjust_sequence(
         if best_distance is None or distance < best_distance:
             best_distance = distance
             best_seq = current
-        competitors = build_competitors(current, result, target)
+        census = competitor_census(current, result, target)
         attempts: list[tuple[int, int, str]] = []
         accepted = False
         uphill = False
-        outcome = None
         for attempt in range(config.mutation_retries):
-            outcome = mutate_against_competitors(current, target, competitors, rng)
+            outcome = mutate_against_competitors(current, target, census, rng)
             refold = oracle.fold(outcome.sequence, 1)
             attempt_distance = structure_distance(refold.mfe, target)
             attempts.append((attempt_distance, attempt, outcome.sequence))
@@ -324,9 +356,9 @@ def adjust_sequence(
                 round_index,
                 distance,
                 best_distance,
-                mutations=len(outcome.mutated_positions) if outcome else 0,
+                mutations=len(outcome.mutated_positions),
                 accepted_uphill=accepted and uphill,
-                fallback_positions=outcome.fallback_positions if outcome else (),
+                fallback_positions=outcome.fallback_positions,
             )
         )
     return best_seq

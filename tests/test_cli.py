@@ -113,6 +113,21 @@ class TestInverse:
             "6c089675df5810029224cbb5226f58253351849d9a1f3dda48cea3166f40ce7d"
         )
 
+    def test_trace_output_is_pinned(self, tmp_path):
+        # each adjust record holds the round's mutation count and fallbacks
+        path = tmp_path / "trace.jsonl"
+        result = run(
+            "inverse", "--target", "(((::[[[::)))::]]]::::::",
+            "--trials", "6", "--seed", "3", "--format", "jsonl",
+            "--trace", str(path),
+        )
+        assert result.exit_code == 0
+        data = path.read_bytes()
+        assert data.count(b"\n") == 63
+        assert hashlib.sha256(data).hexdigest() == (
+            "de72efb370933ab0a58d629b211c4cae2e973ca37ef57714275fc033b4e03a7a"
+        )
+
     def test_text_report_p90_is_nearest_rank(self, monkeypatch):
         def failed_trial(spec):
             return {

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from functools import lru_cache
 from pathlib import Path
 
@@ -228,6 +229,52 @@ class TestOracleObject:
         a = oracle.fold("GGGAAAACCC", 2)
         b = oracle.fold("GGGAAAACCC", 2)
         assert a is b
+
+    def test_memo_is_a_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 4)
+        memo = ReferenceFoldOracle()
+        rng = random.Random(8)
+        seqs = [random_sequence(rng, 16) for _ in range(10)]
+        kept = memo.fold(seqs[0], 3)
+        for seq in seqs[1:]:
+            assert memo.fold(seqs[0], 3) is kept  # a hit keeps its entry fresh
+            memo.fold(seq, 3)
+            assert len(memo._cache) <= 4
+        assert (seqs[1], 3) not in memo._cache
+        for seq in seqs:
+            assert memo.fold(seq, 3) == fold(seq, 3)
+        assert len(memo._cache) == 4
+
+    def test_memo_is_safe_under_concurrent_callers(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 8)
+        memo = ReferenceFoldOracle()
+        rng = random.Random(3)
+        seqs = [random_sequence(rng, 12) for _ in range(24)]
+        expected = {seq: fold(seq, 2) for seq in seqs}
+        errors = []
+
+        def worker(offset):
+            try:
+                for step in range(300):
+                    seq = seqs[(offset + 7 * step) % len(seqs)]
+                    if memo.fold(seq, 2) != expected[seq]:
+                        errors.append(seq)
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(memo._cache) <= 8 + len(threads)
 
     def test_custom_policy_changes_space(self):
         lenient = ReferenceFoldOracle(ValidationPolicy(k=3, sigma=2, min_arc_length=4))

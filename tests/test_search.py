@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkinv import (
     Arc,
@@ -10,6 +12,7 @@ from pkinv import (
     Structure,
     build_competitors,
     build_intervals,
+    competitor_census,
     inverse_fold,
     mutate_against_competitors,
     parse_structure,
@@ -19,7 +22,7 @@ from pkinv import (
 from pkinv.loops import ArcNotInStructure
 from pkinv.oracle import ReferenceFoldOracle
 from pkinv.search import (
-    CompetitorSet,
+    CompetitorCensus,
     InvalidTarget,
     SearchFailed,
     SearchTrace,
@@ -29,7 +32,7 @@ from pkinv.search import (
 )
 from pkinv.sequences import can_pair, is_compatible, random_compatible_sequence
 
-from .helpers import PSEUDOKNOT_18, random_valid_structure
+from .helpers import PSEUDOKNOT_18, random_sequence, random_valid_structure
 
 HAIRPIN_TEXT = "(((....)))"
 HAIRPIN = parse_structure(HAIRPIN_TEXT)
@@ -46,6 +49,27 @@ def oracle_perturbations(s: Structure, arc: Arc) -> set:
                 seen.add(tuple(sorted(rest + (Arc(i, j),))))
     seen.add(rest)
     return seen
+
+
+def census_of(competitors, target: Structure) -> CompetitorCensus:
+    """The census of explicit competitor structures, position by position."""
+    n = target.n
+    flagged = [False] * (n + 1)
+    rivals = [set() for _ in range(n + 1)]
+    for comp in competitors:
+        for w in range(1, n + 1):
+            p = comp.partner[w]
+            if p != target.partner[w]:
+                flagged[w] = True
+            if p:
+                rivals[w].add(p)
+    return CompetitorCensus(flagged, rivals)
+
+
+def as_consumed(census: CompetitorCensus, target: Structure):
+    """What mutation reads: flags, and rivals without the target partner."""
+    rivals = [r - {target.partner[w]} for w, r in enumerate(census.rivals)]
+    return census.flagged, rivals
 
 
 class TestPerturb:
@@ -128,11 +152,38 @@ class TestCompetitors:
                 assert comp != target
 
 
+class TestCensus:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(10, 22),
+        st.sampled_from((1, 8, 50)),
+        st.booleans(),
+    )
+    def test_equals_census_of_built_competitors(self, seed, n, n_best, compatible):
+        rng = random.Random(seed)
+        target = random_valid_structure(rng, n)
+        if compatible:
+            seq = random_compatible_sequence(target, rng)
+        else:
+            seq = random_sequence(rng, n)
+        result = ReferenceFoldOracle().fold(seq, n_best)
+        expected = census_of(build_competitors(seq, result, target), target)
+        census = competitor_census(seq, result, target)
+        assert as_consumed(census, target) == as_consumed(expected, target)
+
+    def test_open_chain_gives_an_empty_census(self):
+        result = ReferenceFoldOracle().fold("AAAAAAAAAA", 1)
+        census = competitor_census("AAAAAAAAAA", result, HAIRPIN)
+        assert census.flagged == [False] * 11
+        assert census.rivals == [set()] * 11
+
+
 class TestMutation:
     def test_no_competitors_leaves_sequence_unchanged(self):
         rng = random.Random(0)
         out = mutate_against_competitors(
-            "GGGAAAACCC", HAIRPIN, CompetitorSet(()), rng
+            "GGGAAAACCC", HAIRPIN, census_of((), HAIRPIN), rng
         )
         assert out.sequence == "GGGAAAACCC"
         assert out.mutated_positions == ()
@@ -143,8 +194,8 @@ class TestMutation:
         for _ in range(50):
             target = random_valid_structure(rng, rng.randint(10, 16))
             seq = random_compatible_sequence(target, rng)
-            comps = build_competitors(seq, oracle.fold(seq, 8), target)
-            out = mutate_against_competitors(seq, target, comps, rng)
+            census = competitor_census(seq, oracle.fold(seq, 8), target)
+            out = mutate_against_competitors(seq, target, census, rng)
             assert is_compatible(out.sequence, target)
 
     def test_pair_redraw_breaks_competitor_partner(self):
@@ -155,7 +206,7 @@ class TestMutation:
         rng = random.Random(3)
         for _ in range(40):
             out = mutate_against_competitors(
-                seq, target, CompetitorSet((competitor,)), rng
+                seq, target, census_of((competitor,), target), rng
             )
             new = out.sequence
             assert is_compatible(new, target)
@@ -173,18 +224,16 @@ class TestMutation:
             if not target.arcs:
                 continue
             seq = random_compatible_sequence(target, rng)
-            comps = build_competitors(seq, oracle.fold(seq, 10), target)
-            if not len(comps):
+            census = competitor_census(seq, oracle.fold(seq, 10), target)
+            if not any(census.flagged):
                 continue
             checked += 1
-            out = mutate_against_competitors(seq, target, comps, rng)
+            out = mutate_against_competitors(seq, target, census, rng)
             for w in out.mutated_positions:
                 if w in out.fallback_positions:
                     continue
-                for comp in comps:
-                    u = comp.partner[w]
-                    if u and u != target.partner[w]:
-                        assert not can_pair(out.sequence[w - 1], seq[u - 1])
+                for u in census.rivals[w] - {target.partner[w]}:
+                    assert not can_pair(out.sequence[w - 1], seq[u - 1])
 
     def test_subset_competitor_cannot_be_broken(self):
         # a competitor whose arcs all sit inside the target stays compatible
@@ -192,7 +241,7 @@ class TestMutation:
         seq = "GGGAAAACCC"
         rng = random.Random(7)
         out = mutate_against_competitors(
-            seq, HAIRPIN, CompetitorSet((competitor,)), rng
+            seq, HAIRPIN, census_of((competitor,), HAIRPIN), rng
         )
         assert is_compatible(out.sequence, competitor)
 
