@@ -37,16 +37,22 @@ _STRUCTURE_CHARS = set(":.()[]{}")
 
 
 def _read_structure_argument(value: str) -> str:
-    """Accept a literal bracket string or a path to a file holding one."""
+    """Accept a literal bracket string or a path to a file holding one.
+
+    A file that cannot be read as text or holds no line raises ValueError.
+    """
     if value and set(value) <= _STRUCTURE_CHARS:
         return value
     if os.path.exists(value):
-        with open(value) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    return line
-        raise click.ClickException(f"no structure found in {value}")
+        try:
+            with open(value) as handle:
+                for line in handle:
+                    line = line.strip()
+                    if line:
+                        return line
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read target file {value}: {exc}") from None
+        raise ValueError(f"no structure found in {value}")
     return value  # let the parser report the offending character
 
 
@@ -130,7 +136,11 @@ def main():
 def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
             model, fmt, jobs, trace_path):
     """Find sequences folding into the target; batch mode prints a report."""
-    target_text = _read_structure_argument(target)
+    try:
+        target_text = _read_structure_argument(target)
+    except ValueError as exc:
+        click.echo(str(exc), err=True)
+        ctx.exit(EXIT_INVALID)
     try:
         policy = ValidationPolicy(k, sigma, min_arc_length)
     except ValueError as exc:

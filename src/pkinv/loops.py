@@ -108,40 +108,106 @@ class IntervalPlan:
     intervals: tuple[tuple[int, int], ...]
 
 
-def _pseudoknot_groups(outer: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """Group maximal stacks, given by their outer arcs, into pseudoknot loops.
+def _members(mask: int) -> list[int]:
+    """Set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    All arcs of one stack relate identically to any other arc, so outer
-    arcs decide stack-level crossing and nesting.  A stack joins a
-    pseudoknot when it is a nesting-minimal element of the crossing set of
-    some stack; stacks whose crossing partners are all witnessed by a
-    strictly nested stack close standard loops instead.  The kept stacks
-    split into connected components of the crossing graph, one pseudoknot
-    loop each.  Groups hold stack indices in no particular order.
+
+def _relations(outer: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    """Crossing and inside masks of stacks given by their outer arcs.
+
+    Bit b of crossing[a] is set when the outer arcs of stacks a and b
+    cross, bit b of inside[a] when b's outer arc nests strictly inside
+    a's.  All arcs of one stack relate identically to any other arc, so
+    outer arcs decide stack-level crossing and nesting.
     """
-    crossing: list[list[int]] = [[] for _ in outer]
+    crossing = [0] * len(outer)
+    inside = [0] * len(outer)
     for a in range(1, len(outer)):
         for b in range(a):
             if _crosses(outer[a], outer[b]):
-                crossing[a].append(b)
-                crossing[b].append(a)
-    witnessed: set[int] = set()
-    for partners in crossing:
-        for x in partners:
-            if not any(_nested(outer[y], outer[x]) for y in partners):
-                witnessed.add(x)
-    groups: list[list[int]] = []
-    while witnessed:
-        todo = [witnessed.pop()]
-        group = todo[:]
+                crossing[a] |= 1 << b
+                crossing[b] |= 1 << a
+            elif _nested(outer[a], outer[b]):
+                inside[b] |= 1 << a
+            elif _nested(outer[b], outer[a]):
+                inside[a] |= 1 << b
+    return crossing, inside
+
+
+def _pseudoknot_groups(
+    chosen: int, crossing: list[int], inside: list[int]
+) -> list[int]:
+    """Group the stacks in the chosen mask into pseudoknot loops.
+
+    A stack joins a pseudoknot when it is a nesting-minimal element of the
+    crossing set of some chosen stack; stacks whose crossing partners are
+    all witnessed by a strictly nested stack close standard loops instead.
+    The kept stacks split into connected components of the crossing
+    graph, one pseudoknot loop each, returned as disjoint stack masks.
+    """
+    kept = 0
+    rest = chosen
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        partners = crossing[low.bit_length() - 1] & chosen
+        todo = partners & ~kept
         while todo:
-            for neigh in crossing[todo.pop()]:
-                if neigh in witnessed:
-                    witnessed.remove(neigh)
-                    group.append(neigh)
-                    todo.append(neigh)
+            x = todo & -todo
+            todo ^= x
+            if not inside[x.bit_length() - 1] & partners:
+                kept |= x
+    groups = []
+    while kept:
+        group = frontier = kept & -kept
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = crossing[low.bit_length() - 1] & kept & ~group
+            group |= new
+            frontier |= new
+        kept &= ~group
         groups.append(group)
     return groups
+
+
+def _census(
+    chosen: int, sizes: Sequence[int], crossing: list[int], inside: list[int]
+) -> tuple[int, int, int, int, int]:
+    """loop_census of the stacks in the chosen mask, from their relation masks.
+
+    Bits index stacks in ascending outer i; sizes[c] is the size of stack
+    c and crossing/inside are as _relations builds them.  A stack outside
+    every pseudoknot closes size - 1 stacked pairs plus one loop, whose
+    kind follows from its children, the nesting-maximal stacks inside it.
+    The lowest stack inside has the smallest i, so nothing inside encloses
+    it and it is a child; a second child exists exactly when some other
+    stack inside lies outside that first one.
+    """
+    groups = _pseudoknot_groups(chosen, crossing, inside)
+    hairpins = gapped = stacked = multis = 0
+    rest = chosen & ~sum(groups)  # groups are disjoint: sum is union
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        c = low.bit_length() - 1
+        stacked += sizes[c] - 1
+        below = inside[c] & chosen
+        if not below:
+            hairpins += 1
+        else:
+            first = below & -below
+            if below & ~first & ~inside[first.bit_length() - 1]:
+                multis += 1
+            else:
+                gapped += 1
+    return (hairpins, gapped, stacked, multis, len(groups))
 
 
 def loop_census(
@@ -153,28 +219,13 @@ def loop_census(
     j - size + 1); they must be maximal and pair disjoint positions, as
     stacks() returns them.  The counts are (hairpin, gapped interior,
     stacked pair, multi, pseudoknot), as EnergyModel.loop_energy weighs
-    them, and equal the loop kinds of decompose_loops:
-    a stack outside every pseudoknot closes size - 1 stacked pairs plus
-    one loop given by its nesting-maximal children.
+    them, and equal the loop kinds of decompose_loops.
     """
-    groups = _pseudoknot_groups(stack_triples)
-    in_pk = {idx for group in groups for idx in group}
-    hairpins = gapped = stacked = multis = 0
-    for idx, (i, j, size) in enumerate(stack_triples):
-        if idx in in_pk:
-            continue
-        stacked += size - 1
-        # positions are disjoint, so nesting inside the outer arc is
-        # nesting inside the innermost one
-        inside = [c for c in stack_triples if i < c[0] and c[1] < j]
-        children = sum(1 for c in inside if not any(_nested(c, d) for d in inside))
-        if children == 0:
-            hairpins += 1
-        elif children == 1:
-            gapped += 1
-        else:
-            multis += 1
-    return (hairpins, gapped, stacked, multis, len(groups))
+    triples = sorted(stack_triples)
+    crossing, inside = _relations(triples)
+    return _census(
+        (1 << len(triples)) - 1, [size for _, _, size in triples], crossing, inside
+    )
 
 
 def _unpaired_runs(positions: list[int]) -> tuple[tuple[int, int], ...]:
@@ -197,7 +248,11 @@ def decompose_loops(s: Structure) -> tuple[Loop, ...]:
     if not s.arcs:
         return ()
     sts = stacks(s)
-    groups = _pseudoknot_groups([st.outer for st in sts])
+    crossing, inside = _relations([st.outer for st in sts])
+    groups = [
+        _members(group)
+        for group in _pseudoknot_groups((1 << len(sts)) - 1, crossing, inside)
+    ]
     pk_arcs: set[Arc] = set()
     for group in groups:
         for idx in group:

@@ -16,13 +16,14 @@ at MAX_STRUCTURES structures per call.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .loops import loop_census
+from .loops import _census, _members, loop_census
 from .sequences import BASES, PAIRS, IncompatibleInput, _PAIR_SET, _require_compatible
 from .structure import Structure, ValidationPolicy, stacks
 
@@ -71,11 +72,12 @@ class EnergyModel:
         scores = dict(self.pair_scores)
         if sorted(scores) != sorted(PAIRS):
             raise ValueError(f"pair_scores must cover exactly {PAIRS}")
-        if any(v > 0 for v in scores.values()):
-            raise ValueError("pair scores must be <= 0")
+        if not all(math.isfinite(v) and v <= 0 for v in scores.values()):
+            raise ValueError("pair scores must be finite and <= 0")
         for name in _LOOP_PENALTIES:
-            if getattr(self, name) < 0:
-                raise ValueError(f"loop penalty {name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"loop penalty {name} must be finite and >= 0")
         object.__setattr__(
             self, "pair_scores", tuple(sorted(self.pair_scores))
         )
@@ -115,7 +117,10 @@ class EnergyModel:
     def loop_energy(self, census: tuple[int, ...]) -> float:
         """Penalty sum over loop_census counts (hairpin, gapped interior,
         stacked pair, multi, pseudoknot)."""
-        return sum(c * getattr(self, name) for c, name in zip(census, _LOOP_PENALTIES))
+        hairpins, gapped, stacked, multis, pseudoknots = census
+        return (hairpins * self.hairpin + gapped * self.interior
+                + stacked * self.stacked + multis * self.multi
+                + pseudoknots * self.pseudoknot)
 
 
 DEFAULT_MODEL = EnergyModel()
@@ -195,14 +200,16 @@ def _candidate_stacks(
     return out
 
 
-def _members(mask: int) -> list[int]:
-    """Set bits of mask, lowest first."""
-    out = []
-    while mask:
+def _has_clique(mask: int, size: int, crossing: list[int]) -> bool:
+    """Whether mask holds size mutually crossing candidates."""
+    if size == 0:
+        return True
+    while mask.bit_count() >= size:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
         mask ^= low
-    return out
+        if _has_clique(mask & crossing[low.bit_length() - 1], size - 1, crossing):
+            return True
+    return False
 
 
 def _stack_sets(
@@ -210,7 +217,7 @@ def _stack_sets(
     policy: ValidationPolicy,
     candidates: list[tuple[int, int, int]],
     scores: list[tuple[float, ...]],
-) -> tuple[list[float], list[int]]:
+) -> tuple[list[float], list[int], list[int], list[int]]:
     """Every valid structure built from the candidate stacks, each exactly once.
 
     A structure is a bit mask over candidates, which are sorted by (i, j,
@@ -220,6 +227,8 @@ def _stack_sets(
     so no arc set appears twice; the crossing bound rejects any policy.k
     mutually crossing stacks.  Each structure comes with its pair-score
     sum: the scores[c] of its candidates c, added in sorted arc order.
+    The candidates' crossing and inside masks, as loops._relations
+    defines them, come back too.
     """
     cap = MAX_STRUCTURES
     covering = [0] * (n + 2)  # candidates by paired position
@@ -240,6 +249,7 @@ def _stack_sets(
         closes[p] |= closes[p - 1]
     compatible = []
     crossing = []
+    inside = []
     for i, j, size in candidates:
         # runs merge when one's outer arc lies just inside the other; any
         # other shared end arc shares positions too
@@ -250,22 +260,16 @@ def _stack_sets(
         # outer arcs with i < i' < j < j' or i' < i < j' < j
         crossing.append((opens[j - 1] & ~opens[i] & ~closes[j])
                         | (opens[i - 1] & closes[j - 1] & ~closes[i]))
+        # outer arcs with i < i' < j' < j
+        inside.append(opens[j] & ~opens[i] & closes[j - 1])
     max_mutual = policy.k - 1
     sums: list[float] = []
     sets: list[int] = []
-
-    def clique(mask: int, size: int) -> bool:
-        # mask holds size mutually crossing candidates
-        if size == 0:
-            return True
-        while mask.bit_count() >= size:
-            low = mask & -mask
-            mask ^= low
-            if clique(mask & crossing[low.bit_length() - 1], size - 1):
-                return True
-        return False
-
-    def rec(allowed: int, chosen: int, total: float) -> None:
+    # depth first over (allowed, chosen, pair-score sum); a child only
+    # adds candidates above every chosen one
+    todo = [((1 << len(candidates)) - 1, 0, 0.0)]
+    while todo:
+        allowed, chosen, total = todo.pop()
         sums.append(total)
         sets.append(chosen)
         if len(sets) > cap:
@@ -276,15 +280,14 @@ def _stack_sets(
             allowed ^= low
             c = low.bit_length() - 1
             crossers = crossing[c] & chosen
-            if crossers.bit_count() >= max_mutual and clique(crossers, max_mutual):
+            if (crossers.bit_count() >= max_mutual
+                    and _has_clique(crossers, max_mutual, crossing)):
                 continue
             extended = total
             for score in scores[c]:
                 extended += score
-            rec(allowed & compatible[c], chosen | low, extended)
-
-    rec((1 << len(candidates)) - 1, 0, 0.0)
-    return sums, sets
+            todo.append((allowed & compatible[c], chosen | low, extended))
+    return sums, sets, crossing, inside
 
 
 def _arcs(
@@ -311,7 +314,7 @@ def enumerate_structures(
     _guard(n, size_guard, force)
     policy = policy or ValidationPolicy()
     candidates = _candidate_stacks(policy, [(1 << (n + 1)) - 2] * (n + 1))
-    _, sets = _stack_sets(n, policy, candidates, [()] * len(candidates))
+    _, sets, _, _ = _stack_sets(n, policy, candidates, [()] * len(candidates))
     for arcs in sorted(_arcs(candidates, _members(chosen)) for chosen in sets):
         yield Structure(n, arcs)
 
@@ -348,7 +351,8 @@ def fold(
         tuple(pair[seq[i + t - 1] + seq[j - t - 1]] for t in range(size))
         for i, j, size in candidates
     ]
-    sums, sets = _stack_sets(n, policy, candidates, scores)
+    sums, sets, crossing, inside = _stack_sets(n, policy, candidates, scores)
+    sizes = [size for _, _, size in candidates]
     floor = min(model.hairpin, model.pseudoknot)
     bounds = [total + floor if chosen else total for total, chosen in zip(sums, sets)]
     lowest: list[float] = []  # the n_best lowest energies so far
@@ -356,14 +360,13 @@ def fold(
     for row in sorted(range(len(sums)), key=bounds.__getitem__):
         if len(lowest) == n_best and bounds[row] > lowest[-1]:
             break
-        members = _members(sets[row])
-        census = loop_census([candidates[c] for c in members])
+        census = _census(sets[row], sizes, crossing, inside)
         energy = sums[row] + model.loop_energy(census)
         insort(lowest, energy)
         del lowest[n_best:]
-        scored.append((energy, members))
-    best = sorted((energy, _arcs(candidates, members))
-                  for energy, members in scored if energy <= lowest[-1])[:n_best]
+        scored.append((energy, row))
+    best = sorted((energy, _arcs(candidates, _members(sets[row])))
+                  for energy, row in scored if energy <= lowest[-1])[:n_best]
     return FoldResult(
         tuple(Structure(n, arcs) for _, arcs in best),
         tuple(energy for energy, _ in best),

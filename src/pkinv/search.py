@@ -17,7 +17,7 @@ from random import Random
 from typing import NamedTuple
 
 from .loops import ArcNotInStructure, IntervalPlan, build_intervals
-from .oracle import FoldResult, ReferenceFoldOracle
+from .oracle import FoldResult, ReferenceFoldOracle, _pair_masks
 from .sequences import BASES, PAIRS, can_pair, random_compatible_sequence
 from .structure import (
     Arc,
@@ -215,37 +215,36 @@ def competitor_census(
     j0, and a shift to (i, j) pairs i with j when it stays in range with
     i < j, lands on ends free in S minus the arc, and can pair.
     Deduplication is not needed, nor is dropping the target: its entries
-    are the target partners, which mutation ignores.
+    are the target partners, which mutation ignores.  The partners of a
+    position are read column-wise off the partner vectors, and shifts are
+    tested against the sequence's pair masks.
     """
-    n = target.n
-    seen: set[tuple[int, int]] = set()  # (position, partner)
-    for s in fold_result.structures:
-        if not s.arcs:
-            continue
-        partner = s.partner
-        seen.update(enumerate(partner))
+    pairs = _pair_masks(seq)  # bit j of pairs[i]: i and j can pair
+    structures = [s for s in fold_result.structures if s.arcs]
+    # seen[w]: the partners competitors give w, 0 for unpaired
+    seen = [set(column) for column in zip(*(s.partner for s in structures))]
+    if not seen:
+        seen = [set() for _ in range(target.n + 1)]
+    for s in structures:
+        paired = 0
         for i0, j0 in s.arcs:
-            seen.add((i0, 0))
-            seen.add((j0, 0))
+            paired |= 1 << i0 | 1 << j0
+        for i0, j0 in s.arcs:
+            seen[i0].add(0)
+            seen[j0].add(0)
+            free = ~paired | 1 << i0 | 1 << j0
             for i in (i0 - 1, i0, i0 + 1):
+                if not free >> i & 1:
+                    continue
+                ends = pairs[i] & free
                 for j in (j0 - 1, j0, j0 + 1):
-                    if (
-                        1 <= i < j <= n
-                        and (partner[i] == 0 or i in (i0, j0))
-                        and (partner[j] == 0 or j in (i0, j0))
-                        and can_pair(seq[i - 1], seq[j - 1])
-                    ):
-                        seen.add((i, j))
-                        seen.add((j, i))
-    target_partner = target.partner
-    flagged = [False] * (n + 1)
-    rivals: list[set[int]] = [set() for _ in range(n + 1)]
-    for w, p in seen:
-        if p != target_partner[w]:
-            flagged[w] = True
-        if p:
-            rivals[w].add(p)
-    return CompetitorCensus(flagged, rivals)
+                    if ends >> j & 1 and i < j:
+                        seen[i].add(j)
+                        seen[j].add(i)
+    flagged = [any(p != t for p in ps) for ps, t in zip(seen, target.partner)]
+    for ps in seen:
+        ps.discard(0)
+    return CompetitorCensus(flagged, seen)
 
 
 def mutate_against_competitors(

@@ -177,8 +177,10 @@ class TestInverse:
     ["inverse", "--target", "(((....)))"],
     ["fold", "GGGAAAACCC"],
 ], ids=["inverse", "fold"])
-@pytest.mark.parametrize("content", [None, "loop.bogus = 1\n", "pair.GC\n"],
-                         ids=["missing", "unknown-key", "no-value"])
+@pytest.mark.parametrize("content", [
+    None, "loop.bogus = 1\n", "pair.GC\n",
+    "loop.pseudoknot = inf\n", "pair.GC = nan\n",
+], ids=["missing", "unknown-key", "no-value", "inf-penalty", "nan-pair"])
 def test_model_load_error_exits_2(tmp_path, command, content):
     path = tmp_path / "model.cfg"
     if content is not None:
@@ -187,6 +189,26 @@ def test_model_load_error_exits_2(tmp_path, command, content):
     assert result.exit_code == 2
     assert "cannot load energy model" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", [
+    lambda path: ["inverse", "--target", path],
+    lambda path: ["distance", path, "(((....)))"],
+    lambda path: ["decompose", path],
+], ids=["inverse", "distance", "decompose"])
+@pytest.mark.parametrize("make", [
+    lambda path: path.write_text(""),
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe(((....)))"),
+], ids=["empty", "directory", "undecodable"])
+def test_unreadable_target_file_exits_2(tmp_path, command, make):
+    path = tmp_path / "target"
+    make(path)
+    result = run(*command(str(path)))
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert len(result.output.strip().splitlines()) == 1
+    assert str(path) in result.output
 
 
 class TestFoldCommand:

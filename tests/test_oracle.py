@@ -1,5 +1,7 @@
 """The reference folding oracle against its independent brute-force twin."""
 
+import gc
+import math
 import os
 import random
 import subprocess
@@ -24,7 +26,7 @@ from pkinv import (
     validate_target,
 )
 from pkinv import oracle
-from pkinv.oracle import EnergyModel, ReferenceFoldOracle, SizeGuard
+from pkinv.oracle import DEFAULT_MODEL, EnergyModel, ReferenceFoldOracle, SizeGuard
 from pkinv.sequences import IncompatibleInput
 
 from .helpers import (
@@ -36,6 +38,11 @@ from .helpers import (
 )
 
 HAIRPIN = parse_structure("(((....)))")
+# Penalties far enough apart that the loop energy spells out the census:
+# stacked pairs, interior, hairpin, multi and pseudoknot loops are its
+# base-64 digits, so no wrong count can tie with the right one.
+CENSUS_MODEL = EnergyModel(stacked=1.0, interior=64.0, hairpin=64.0**2,
+                           multi=64.0**3, pseudoknot=64.0**4)
 
 
 @lru_cache(maxsize=None)
@@ -126,6 +133,11 @@ class TestEnergy:
             EnergyModel(hairpin=-1.0)
         with pytest.raises(ValueError):
             EnergyModel.from_mapping({"pair.GC": 2.0})
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                EnergyModel(pseudoknot=bad)
+            with pytest.raises(ValueError, match="finite"):
+                EnergyModel.from_mapping({"pair.GC": bad})
 
     def test_model_from_file(self, tmp_path):
         path = tmp_path / "model.cfg"
@@ -189,22 +201,23 @@ class TestFold:
         seq = random_sequence(random.Random(seed), n)
         assert fold(seq).mfe_energy == naive_min_energy(seq)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(9, 24),
         st.sampled_from(("ACGU", "GCU", "GC")),
+        st.sampled_from((DEFAULT_MODEL, CENSUS_MODEL)),
     )
-    def test_equals_scored_enumeration(self, seed, n, alphabet):
+    def test_equals_scored_enumeration(self, seed, n, alphabet, model):
         rng = random.Random(seed)
         seq = "".join(rng.choice(alphabet) for _ in range(n))
         expected = sorted(
-            (energy_of(seq, s), s.arcs)
+            (energy_of(seq, s, model), s.arcs)
             for s in all_structures(n)
             if is_compatible(seq, s)
         )
         for n_best in (1, 50):
-            result = fold(seq, n_best)
+            result = fold(seq, n_best, model=model)
             got = [(e, s.arcs) for s, e in zip(result.structures, result.energies)]
             assert got == expected[:n_best]
 
@@ -213,6 +226,17 @@ class TestFold:
         with pytest.raises(SizeGuard, match="more than 1000 structures"):
             fold("GC" * 12)  # 2815 compatible structures
         assert fold("GC" * 10, 50).mfe_energy < 0
+
+    def test_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()  # an automatic collection would hide a cycle
+        try:
+            fold("GGGAAAACCCAGGGAAACCCAAGGGCCCAAAGGGCC", 50)
+            assert gc.collect() == 0
+            list(enumerate_structures(12))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_package_import_leaves_numpy_out(self):
         code = "import sys, pkinv.cli; print('numpy' in sys.modules)"
