@@ -25,7 +25,7 @@ from typing import Iterator, Mapping
 
 from .loops import _census, _members, loop_census
 from .sequences import BASES, PAIRS, IncompatibleInput, _PAIR_SET, _require_compatible
-from .structure import Structure, ValidationPolicy, stacks
+from .structure import Arc, Structure, ValidationPolicy, stacks
 
 DEFAULT_SIZE_GUARD = 40
 # Structures one fold or enumeration may visit: above the 161k valid
@@ -46,6 +46,13 @@ _DEFAULT_PAIR_SCORES = (
     ("UA", -2.0),
     ("UG", -1.0),
 )
+# per base x, the table writing the bases that pair with x as binary
+# digit 1 and the others as 0
+_PARTNER_DIGITS = {
+    x: str.maketrans(BASES, "".join("1" if x + y in _PAIR_SET else "0" for y in BASES))
+    for x in BASES
+}
+_DROP_BASES = str.maketrans("", "", BASES)
 
 
 class SizeGuard(ValueError):
@@ -162,15 +169,15 @@ def _guard(n: int, size_guard: int, force: bool) -> None:
 
 def _pair_masks(seq: str) -> list[int]:
     """masks[p]: bit q set when position q can pair with position p (1-based)."""
-    at = {base: 0 for base in BASES}
-    try:
-        for pos, base in enumerate(seq, 1):
-            at[base] |= 1 << pos
-    except KeyError:
+    if seq.translate(_DROP_BASES):
         raise IncompatibleInput(f"sequence {seq!r} contains non-ACGU characters")
-    # the four bases hold disjoint positions, so their sum is their union
-    partners = {x: sum(at[y] for y in BASES if x + y in _PAIR_SET) for x in BASES}
-    return [0] + [partners[x] for x in seq]
+    # the last digit is position 1; the shift makes bit q position q
+    backward = "0" + seq[::-1]
+    partners = {
+        x: int(backward.translate(table), 2) << 1
+        for x, table in _PARTNER_DIGITS.items()
+    }
+    return [0, *map(partners.__getitem__, seq)]
 
 
 def _candidate_stacks(
@@ -193,7 +200,11 @@ def _candidate_stacks(
             if not run:
                 break
             if size >= policy.sigma:
-                out.extend((i, j, size) for j in _members(run))
+                ends = run
+                while ends:
+                    low = ends & -ends
+                    out.append((i, low.bit_length() - 1, size))
+                    ends ^= low
             run &= masks[i + size] << size
             size += 1
     out.sort()
@@ -240,7 +251,7 @@ def _stack_sets(
         for t in range(size):
             covering[i + t] |= bit
             covering[j - t] |= bit
-        opens[i] |= bit
+        opens[i] = (bit << 1) - 1  # candidates are sorted by i
         closes[j] |= bit
         for arc in ((i, j), (i + size, j - size)):
             ends[arc] = ends.get(arc, 0) | bit
@@ -347,8 +358,8 @@ def fold(
     _guard(n, size_guard, force)
     candidates = _candidate_stacks(policy, _pair_masks(seq))
     pair = dict(model.pair_scores)
-    scores = [
-        tuple(pair[seq[i + t - 1] + seq[j - t - 1]] for t in range(size))
+    scores = [  # tuple(list) builds short tuples faster than tuple(generator)
+        tuple([pair[seq[i + t - 1] + seq[j - t - 1]] for t in range(size)])
         for i, j, size in candidates
     ]
     sums, sets, crossing, inside = _stack_sets(n, policy, candidates, scores)
@@ -365,10 +376,25 @@ def fold(
         insort(lowest, energy)
         del lowest[n_best:]
         scored.append((energy, row))
-    best = sorted((energy, _arcs(candidates, _members(sets[row])))
-                  for energy, row in scored if energy <= lowest[-1])[:n_best]
+    # a row's arcs are its stacks' arcs in candidate order: stacks pair
+    # disjoint positions and each one's left ends are consecutive, so the
+    # concatenation is sorted
+    stack_arcs: list[tuple[Arc, ...] | None] = [None] * len(candidates)
+    best = []
+    for energy, row in scored:
+        if energy > lowest[-1]:
+            continue
+        arcs: tuple[Arc, ...] = ()
+        for c in _members(sets[row]):
+            if stack_arcs[c] is None:
+                i, j, size = candidates[c]
+                stack_arcs[c] = tuple(Arc(i + t, j - t) for t in range(size))
+            arcs += stack_arcs[c]
+        best.append((energy, arcs))
+    best.sort()
+    del best[n_best:]
     return FoldResult(
-        tuple(Structure(n, arcs) for _, arcs in best),
+        tuple(Structure._trusted(n, arcs) for _, arcs in best),
         tuple(energy for energy, _ in best),
     )
 

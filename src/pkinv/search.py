@@ -17,7 +17,7 @@ from random import Random
 from typing import NamedTuple
 
 from .loops import ArcNotInStructure, IntervalPlan, build_intervals
-from .oracle import FoldResult, ReferenceFoldOracle, _pair_masks
+from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard, _pair_masks
 from .sequences import BASES, PAIRS, can_pair, random_compatible_sequence
 from .structure import (
     Arc,
@@ -40,16 +40,22 @@ class InvalidTarget(ValueError):
 
 
 class SearchFailed(RuntimeError):
-    """No sequence folding into the target was found within the budgets."""
+    """No sequence folding into the target was found within the budgets,
+    or the oracle refused a fold the search needed; reason says which."""
 
-    def __init__(self, target: Structure, trace: "SearchTrace", oracle_calls: int):
+    def __init__(
+        self,
+        target: Structure,
+        trace: "SearchTrace",
+        oracle_calls: int,
+        reason: str | None = None,
+    ):
         self.target = target
         self.trace = trace
         self.oracle_calls = oracle_calls
-        super().__init__(
-            f"no sequence found for target of length {target.n} "
-            f"after {oracle_calls} oracle calls"
-        )
+        message = (f"no sequence found for target of length {target.n} "
+                   f"after {oracle_calls} oracle calls")
+        super().__init__(f"{message}: {reason}" if reason else message)
 
 
 @dataclass(frozen=True)
@@ -496,9 +502,12 @@ def inverse_fold(
     """Find a sequence whose mfe fold is exactly the target.
 
     Raises InvalidTarget when the target fails the oracle's validation
-    policy and SearchFailed when the budgets run out; a returned result
-    always re-folds to the target arc for arc.  RuntimeError marks an
-    internal fault: more oracle calls than the budgets allow.
+    policy and SearchFailed when the budgets run out.  When the oracle
+    refuses a fold with SizeGuard (the length guard or the structure
+    cap), the trial fails too: SearchFailed carries the refusal's text
+    in its message and the SizeGuard as its __cause__.  A returned
+    result always re-folds to the target arc for arc.  RuntimeError
+    marks an internal fault: more oracle calls than the budgets allow.
     """
     oracle = oracle or ReferenceFoldOracle()
     config = config or SearchConfig()
@@ -512,10 +521,14 @@ def inverse_fold(
     counting = _CountingOracle(oracle)
     trace = SearchTrace()
     start = random_compatible_sequence(target, rng)
-    middle = adjust_sequence(start, target, counting, config, rng, trace)
     plan = build_intervals(target)
-    final = local_search(middle, target, plan, counting, config, rng, trace)
-    verdict = counting.fold(final, 1)
+    try:
+        middle = adjust_sequence(start, target, counting, config, rng, trace)
+        final = local_search(middle, target, plan, counting, config, rng, trace)
+        verdict = counting.fold(final, 1)
+    except SizeGuard as exc:
+        raise SearchFailed(target, trace, counting.calls,
+                           f"the oracle refused a fold: {exc}") from exc
     if structure_distance(verdict.mfe, target) != 0:
         raise SearchFailed(target, trace, counting.calls)
     budget = (

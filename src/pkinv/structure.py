@@ -100,6 +100,23 @@ class Structure:
         object.__setattr__(self, "_partner", tuple(partner))
 
     @classmethod
+    def _trusted(cls, n: int, arcs: tuple[Arc, ...]) -> "Structure":
+        """A structure from a sorted tuple of valid Arcs, without checks.
+
+        For callers that built the arcs valid by construction; equal to
+        Structure(n, arcs) whenever that accepts the same arcs.
+        """
+        partner = [0] * (n + 1)
+        for i, j in arcs:
+            partner[i] = j
+            partner[j] = i
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "_partner", tuple(partner))
+        return self
+
+    @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Structure":
         return cls(n, tuple(Arc(min(i, j), max(i, j)) for i, j in pairs))
 

@@ -166,6 +166,18 @@ class TestInverse:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    def test_structure_cap_fails_the_trial(self):
+        # a fold of the adjust phase would visit more than MAX_STRUCTURES
+        # structures; the trial fails instead of raising SizeGuard
+        target = ":(((([[[))))((({{{{{::)))]]]::}}}}}:::::"
+        result = run("inverse", "--target", target, "--seed", "1",
+                     "--format", "jsonl")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # nothing escaped
+        assert "Traceback" not in result.output
+        record = json.loads(result.output.splitlines()[0])
+        assert record["success"] is False and record["target"] == target
+
     def test_target_past_length_guard_exits_2(self):
         result = run("inverse", "--target", "(((" + ":" * 35 + ")))")
         assert result.exit_code == 2

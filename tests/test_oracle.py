@@ -1,6 +1,7 @@
 """The reference folding oracle against its independent brute-force twin."""
 
 import gc
+import hashlib
 import math
 import os
 import random
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import pkinv
 from pkinv import (
+    Arc,
     Structure,
     ValidationPolicy,
     energy_of,
@@ -220,6 +222,50 @@ class TestFold:
             result = fold(seq, n_best, model=model)
             got = [(e, s.arcs) for s, e in zip(result.structures, result.energies)]
             assert got == expected[:n_best]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(9, 28),
+        st.sampled_from(("ACGU", "GCU", "GC")),
+        st.sampled_from((1, 50)),
+    )
+    def test_result_structures_equal_validated_ones(self, seed, n, alphabet, n_best):
+        rng = random.Random(seed)
+        seq = "".join(rng.choice(alphabet) for _ in range(n))
+        for s in fold(seq, n_best).structures:
+            validated = Structure(s.n, s.arcs)
+            assert validated == s and hash(validated) == hash(s)
+            assert s.partner == validated.partner
+            assert type(s.arcs) is tuple and list(s.arcs) == sorted(s.arcs)
+            assert all(type(arc) is Arc for arc in s.arcs)
+
+    @pytest.mark.parametrize("seq", ["GGGTAAACCC", "gggaaaaccc", "GGG AAACCC"])
+    def test_non_acgu_sequence_rejected(self, seq):
+        with pytest.raises(IncompatibleInput, match="contains non-ACGU characters"):
+            fold(seq)
+
+    def test_empty_sequence_folds_empty(self):
+        result = fold("")
+        assert result.structures == (Structure(0, ()),)
+        assert result.energies == (0.0,)
+
+    def test_long_folds_are_pinned(self):
+        # beyond test_equals_scored_enumeration's n <= 24: a cross-commit
+        # contract on fold's output at n 26-40
+        rng = random.Random(2024)
+        lines = []
+        for k in range(40):
+            alphabet = "ACGU" if k % 2 else "GGGCCCAU"  # random, GC-rich
+            seq = "".join(rng.choice(alphabet) for _ in range(26 + k % 15))
+            for n_best in (1, 50):
+                result = fold(seq, n_best)
+                arcs = [[tuple(arc) for arc in s.arcs] for s in result.structures]
+                lines.append(repr((seq, n_best, arcs, result.energies)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "c56238ea8fc14a1391873e36d7aab16254c15bf5de93c21588a5231e8c25d022"
+        )
 
     def test_structure_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_STRUCTURES", 1000)

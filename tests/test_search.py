@@ -15,12 +15,13 @@ from pkinv import (
     competitor_census,
     inverse_fold,
     mutate_against_competitors,
+    oracle,
     parse_structure,
     perturb_arc,
     structure_distance,
 )
 from pkinv.loops import ArcNotInStructure
-from pkinv.oracle import ReferenceFoldOracle
+from pkinv.oracle import ReferenceFoldOracle, SizeGuard
 from pkinv.search import (
     CompetitorCensus,
     InvalidTarget,
@@ -357,6 +358,13 @@ class TestInverseFold:
         monkeypatch.setattr("pkinv.search.local_search", wasteful)
         with pytest.raises(RuntimeError, match="budget"):
             inverse_fold(HAIRPIN_TEXT, ReferenceFoldOracle(), SearchConfig(rng_seed=7))
+
+    def test_refused_fold_fails_the_trial(self, monkeypatch):
+        # a start sequence pairs the target and the empty structure at least
+        monkeypatch.setattr(oracle, "MAX_STRUCTURES", 1)
+        with pytest.raises(SearchFailed, match="more than 1 structures") as err:
+            inverse_fold(HAIRPIN_TEXT, ReferenceFoldOracle(), SearchConfig(rng_seed=7))
+        assert isinstance(err.value.__cause__, SizeGuard)
 
     def test_reproducible_from_seed(self):
         first = inverse_fold(
