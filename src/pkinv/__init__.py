@@ -47,7 +47,6 @@ from .sequences import (
 )
 from .structure import (
     Arc,
-    Stack,
     Structure,
     ValidationPolicy,
     Violation,

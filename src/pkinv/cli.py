@@ -39,9 +39,12 @@ _STRUCTURE_CHARS = set(":.()[]{}")
 def _read_structure_argument(value: str) -> str:
     """Accept a literal bracket string or a path to a file holding one.
 
-    A file that cannot be read as text or holds no line raises ValueError.
+    An empty value, or a file that cannot be read as text or holds no
+    line, raises ValueError.
     """
-    if value and set(value) <= _STRUCTURE_CHARS:
+    if not value:
+        raise ValueError("empty target: give a bracket string or a file holding one")
+    if set(value) <= _STRUCTURE_CHARS:
         return value
     if os.path.exists(value):
         try:
@@ -99,6 +102,7 @@ def _run_trial(spec: _TrialSpec) -> dict:
             "success": False,
             "sequence": None,
             "oracle_calls": failure.oracle_calls,
+            "reason": str(failure),
         }
         trace = failure.trace
     record["_elapsed"] = time.perf_counter() - started
@@ -214,7 +218,7 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
             if record["success"]:
                 click.echo(record["sequence"])
             else:
-                click.echo("Failed!")
+                click.echo(f"Failed! {record['reason']}")
         mean_time = sum(times) / len(times) if times else 0.0
         # nearest rank: the ceil(0.9 * n)-th smallest time
         p90 = sorted(times)[(9 * len(times) + 9) // 10 - 1] if times else 0.0

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .structure import Arc, Stack, Structure, _crosses, _nested, stacks
+from .structure import Arc, Structure, _relations, _stack_arcs, stacks
 
 HAIRPIN = "hairpin"
 INTERIOR = "interior"
@@ -100,8 +100,8 @@ class LoopComponent:
 class IntervalPlan:
     """Ordered components plus the flattened interval sequence I_1..I_m.
 
-    Every interval is contained in the final one, which always covers
-    [1, n].
+    Every interval is contained in the final one, which covers [1, n]
+    unless n = 0 and there is no interval.
     """
 
     components: tuple[LoopComponent, ...]
@@ -116,28 +116,6 @@ def _members(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _relations(outer: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
-    """Crossing and inside masks of stacks given by their outer arcs.
-
-    Bit b of crossing[a] is set when the outer arcs of stacks a and b
-    cross, bit b of inside[a] when b's outer arc nests strictly inside
-    a's.  All arcs of one stack relate identically to any other arc, so
-    outer arcs decide stack-level crossing and nesting.
-    """
-    crossing = [0] * len(outer)
-    inside = [0] * len(outer)
-    for a in range(1, len(outer)):
-        for b in range(a):
-            if _crosses(outer[a], outer[b]):
-                crossing[a] |= 1 << b
-                crossing[b] |= 1 << a
-            elif _nested(outer[a], outer[b]):
-                inside[b] |= 1 << a
-            elif _nested(outer[b], outer[a]):
-                inside[a] |= 1 << b
-    return crossing, inside
 
 
 def _pseudoknot_groups(
@@ -183,12 +161,12 @@ def _census(
     """loop_census of the stacks in the chosen mask, from their relation masks.
 
     Bits index stacks in ascending outer i; sizes[c] is the size of stack
-    c and crossing/inside are as _relations builds them.  A stack outside
-    every pseudoknot closes size - 1 stacked pairs plus one loop, whose
-    kind follows from its children, the nesting-maximal stacks inside it.
-    The lowest stack inside has the smallest i, so nothing inside encloses
-    it and it is a child; a second child exists exactly when some other
-    stack inside lies outside that first one.
+    c and crossing/inside are as structure._relations builds them.  A
+    stack outside every pseudoknot closes size - 1 stacked pairs plus one
+    loop, whose kind follows from its children, the nesting-maximal stacks
+    inside it.  The lowest stack inside has the smallest i, so nothing
+    inside encloses it and it is a child; a second child exists exactly
+    when some other stack inside lies outside that first one.
     """
     groups = _pseudoknot_groups(chosen, crossing, inside)
     hairpins = gapped = stacked = multis = 0
@@ -210,19 +188,15 @@ def _census(
     return (hairpins, gapped, stacked, multis, len(groups))
 
 
-def loop_census(
-    stack_triples: Sequence[tuple[int, int, int]],
-) -> tuple[int, int, int, int, int]:
-    """Loop-kind counts of the structure made of the given maximal stacks.
+def loop_census(s: Structure) -> tuple[int, int, int, int, int]:
+    """Loop-kind counts of s, taken over its maximal stacks.
 
-    Stacks are (i, j, size) triples for the runs (i, j), ..., (i + size - 1,
-    j - size + 1); they must be maximal and pair disjoint positions, as
-    stacks() returns them.  The counts are (hairpin, gapped interior,
-    stacked pair, multi, pseudoknot), as EnergyModel.loop_energy weighs
-    them, and equal the loop kinds of decompose_loops.
+    The counts are (hairpin, gapped interior, stacked pair, multi,
+    pseudoknot), as EnergyModel.loop_energy weighs them, and equal the
+    loop kinds of decompose_loops.
     """
-    triples = sorted(stack_triples)
-    crossing, inside = _relations(triples)
+    triples = stacks(s)
+    crossing, inside = _relations(s.n, triples)
     return _census(
         (1 << len(triples)) - 1, [size for _, _, size in triples], crossing, inside
     )
@@ -245,18 +219,13 @@ def decompose_loops(s: Structure) -> tuple[Loop, ...]:
     inside an arc is claimed by exactly one loop.  The result is sorted
     by leftmost position and is independent of the arc input order.
     """
-    if not s.arcs:
-        return ()
     sts = stacks(s)
-    crossing, inside = _relations([st.outer for st in sts])
-    groups = [
-        _members(group)
+    crossing, inside = _relations(s.n, sts)
+    group_arcs = [
+        tuple(sorted(a for c in _members(group) for a in _stack_arcs(*sts[c])))
         for group in _pseudoknot_groups((1 << len(sts)) - 1, crossing, inside)
     ]
-    pk_arcs: set[Arc] = set()
-    for group in groups:
-        for idx in group:
-            pk_arcs.update(sts[idx].arcs)
+    pk_arcs = {a for p_arcs in group_arcs for a in p_arcs}
 
     partner = s.partner
     arcs = s.arcs
@@ -288,9 +257,6 @@ def decompose_loops(s: Structure) -> tuple[Loop, ...]:
 
     # Pseudoknot loops claim the leftover unpaired positions inside their
     # span; with nested pseudoknots the innermost span wins.
-    group_arcs = [
-        tuple(sorted(a for idx in group for a in sts[idx].arcs)) for group in groups
-    ]
     spans = [
         (min(a.i for a in p_arcs), max(a.j for a in p_arcs))
         for p_arcs in group_arcs
@@ -348,10 +314,9 @@ def order_loops(loops: tuple[Loop, ...], s: Structure) -> tuple[LoopComponent, .
     does.  Stacked-pair loops travel with the content loop closed by the
     innermost arc of their stack.
     """
-    sts = stacks(s)
-    stack_by_arc = {arc: st for st in sts for arc in st.arcs}
+    stack_by_arc = {arc: st for st in stacks(s) for arc in _stack_arcs(*st)}
 
-    stem_links: dict[Stack, list[Loop]] = {}
+    stem_links: dict[tuple[int, int, int], list[Loop]] = {}
     content: list[Loop] = []
     pk_loops: list[Loop] = []
     for loop in loops:
@@ -366,10 +331,10 @@ def order_loops(loops: tuple[Loop, ...], s: Structure) -> tuple[LoopComponent, .
     for loop in content:
         stem = stack_by_arc[loop.closing_arc]
         absorbed = tuple(sorted(stem_links.get(stem, []), key=lambda lp: lp.span))
-        span = (stem.outer.i, stem.outer.j)
+        span = stem[:2]  # its outer arc (i, j)
         components.append(
             LoopComponent(
-                loop.kind, span, _padded(span, s), (*absorbed, loop), stem.arcs
+                loop.kind, span, _padded(span, s), (*absorbed, loop), _stack_arcs(*stem)
             )
         )
     for loop in pk_loops:
@@ -377,14 +342,13 @@ def order_loops(loops: tuple[Loop, ...], s: Structure) -> tuple[LoopComponent, .
         components.append(
             LoopComponent(PSEUDOKNOT, span, _padded(span, s), (loop,), loop.arcs)
         )
-        pk_stacks = sorted(
-            {stack_by_arc[a] for a in loop.arcs}, key=lambda st: st.outer
-        )
-        for stack in pk_stacks:
-            if stack.size >= 2:
-                span = (stack.outer.i, stack.outer.j)
+        for i, j, size in sorted({stack_by_arc[a] for a in loop.arcs}):
+            if size >= 2:
+                span = (i, j)
                 components.append(
-                    LoopComponent(HELIX, span, _padded(span, s), (), stack.arcs)
+                    LoopComponent(
+                        HELIX, span, _padded(span, s), (), _stack_arcs(i, j, size)
+                    )
                 )
 
     components.sort(key=functools.cmp_to_key(_component_order))
@@ -396,8 +360,8 @@ def build_intervals(target: Structure) -> IntervalPlan:
 
     Each ordered component emits its span, its padded span when the
     padding added anything, and the running hull of all padded spans;
-    consecutive duplicates are dropped.  The final interval always covers
-    [1, n].
+    consecutive duplicates are dropped.  The final interval covers [1, n];
+    the empty chain (n = 0) has no interval.
     """
     components = order_loops(decompose_loops(target), target)
     emitted: list[tuple[int, int]] = []
@@ -419,7 +383,6 @@ def build_intervals(target: Structure) -> IntervalPlan:
                 max(hull[1], comp.padded_span[1]),
             )
         emit(hull)
-    whole = (1, max(target.n, 1))
-    if not emitted or emitted[-1] != whole:
-        emit(whole)
+    if target.n:
+        emit((1, target.n))
     return IntervalPlan(components, tuple(emitted))

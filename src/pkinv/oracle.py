@@ -25,7 +25,14 @@ from typing import Iterator, Mapping
 
 from .loops import _census, _members, loop_census
 from .sequences import BASES, PAIRS, IncompatibleInput, _PAIR_SET, _require_compatible
-from .structure import Arc, Structure, ValidationPolicy, stacks
+from .structure import (
+    Arc,
+    Structure,
+    ValidationPolicy,
+    _has_clique,
+    _relations,
+    _stack_arcs,
+)
 
 DEFAULT_SIZE_GUARD = 40
 # Structures one fold or enumeration may visit: above the 161k valid
@@ -118,9 +125,6 @@ class EnergyModel:
             overrides[key.strip()] = float(value.strip())
         return cls.from_mapping(overrides)
 
-    def pair_score(self, x: str, y: str) -> float:
-        return dict(self.pair_scores)[x + y]
-
     def loop_energy(self, census: tuple[int, ...]) -> float:
         """Penalty sum over loop_census counts (hairpin, gapped interior,
         stacked pair, multi, pseudoknot)."""
@@ -154,9 +158,9 @@ def energy_of(
 ) -> float:
     """Sum of pair scores over arcs plus loop penalties over the loop census."""
     _require_compatible(seq, s)
-    total = sum(model.pair_score(seq[a.i - 1], seq[a.j - 1]) for a in s.arcs)
-    census = loop_census([(*st.outer, st.size) for st in stacks(s)])
-    return total + model.loop_energy(census)
+    pair = dict(model.pair_scores)
+    total = sum(pair[seq[i - 1] + seq[j - 1]] for i, j in s.arcs)
+    return total + model.loop_energy(loop_census(s))
 
 
 def _guard(n: int, size_guard: int, force: bool) -> None:
@@ -211,18 +215,6 @@ def _candidate_stacks(
     return out
 
 
-def _has_clique(mask: int, size: int, crossing: list[int]) -> bool:
-    """Whether mask holds size mutually crossing candidates."""
-    if size == 0:
-        return True
-    while mask.bit_count() >= size:
-        low = mask & -mask
-        mask ^= low
-        if _has_clique(mask & crossing[low.bit_length() - 1], size - 1, crossing):
-            return True
-    return False
-
-
 def _stack_sets(
     n: int,
     policy: ValidationPolicy,
@@ -238,29 +230,20 @@ def _stack_sets(
     so no arc set appears twice; the crossing bound rejects any policy.k
     mutually crossing stacks.  Each structure comes with its pair-score
     sum: the scores[c] of its candidates c, added in sorted arc order.
-    The candidates' crossing and inside masks, as loops._relations
-    defines them, come back too.
+    The candidates' crossing and inside masks, from structure._relations,
+    come back too.
     """
     cap = MAX_STRUCTURES
     covering = [0] * (n + 2)  # candidates by paired position
-    opens = [0] * (n + 2)  # candidates by outer i, then by outer i <= p
-    closes = [0] * (n + 2)  # candidates by outer j, then by outer j <= p
     ends: dict[tuple[int, int], int] = {}  # by outer arc and by the arc inside
     for c, (i, j, size) in enumerate(candidates):
         bit = 1 << c
         for t in range(size):
             covering[i + t] |= bit
             covering[j - t] |= bit
-        opens[i] = (bit << 1) - 1  # candidates are sorted by i
-        closes[j] |= bit
         for arc in ((i, j), (i + size, j - size)):
             ends[arc] = ends.get(arc, 0) | bit
-    for p in range(1, n + 2):
-        opens[p] |= opens[p - 1]
-        closes[p] |= closes[p - 1]
     compatible = []
-    crossing = []
-    inside = []
     for i, j, size in candidates:
         # runs merge when one's outer arc lies just inside the other; any
         # other shared end arc shares positions too
@@ -268,11 +251,7 @@ def _stack_sets(
         for t in range(size):
             clash |= covering[i + t] | covering[j - t]
         compatible.append(~clash)
-        # outer arcs with i < i' < j < j' or i' < i < j' < j
-        crossing.append((opens[j - 1] & ~opens[i] & ~closes[j])
-                        | (opens[i - 1] & closes[j - 1] & ~closes[i]))
-        # outer arcs with i < i' < j' < j
-        inside.append(opens[j] & ~opens[i] & closes[j - 1])
+    crossing, inside = _relations(n, candidates)
     max_mutual = policy.k - 1
     sums: list[float] = []
     sets: list[int] = []
@@ -301,17 +280,6 @@ def _stack_sets(
     return sums, sets, crossing, inside
 
 
-def _arcs(
-    candidates: list[tuple[int, int, int]], members: list[int]
-) -> tuple[tuple[int, int], ...]:
-    """Sorted arc list of the stack set with the given candidate indices."""
-    return tuple(
-        (i + t, j - t)
-        for i, j, size in (candidates[c] for c in members)
-        for t in range(size)
-    )
-
-
 def enumerate_structures(
     n: int,
     policy: ValidationPolicy | None = None,
@@ -326,7 +294,10 @@ def enumerate_structures(
     policy = policy or ValidationPolicy()
     candidates = _candidate_stacks(policy, [(1 << (n + 1)) - 2] * (n + 1))
     _, sets, _, _ = _stack_sets(n, policy, candidates, [()] * len(candidates))
-    for arcs in sorted(_arcs(candidates, _members(chosen)) for chosen in sets):
+    for arcs in sorted(
+        tuple(a for c in _members(chosen) for a in _stack_arcs(*candidates[c]))
+        for chosen in sets
+    ):
         yield Structure(n, arcs)
 
 
@@ -379,17 +350,16 @@ def fold(
     # a row's arcs are its stacks' arcs in candidate order: stacks pair
     # disjoint positions and each one's left ends are consecutive, so the
     # concatenation is sorted
-    stack_arcs: list[tuple[Arc, ...] | None] = [None] * len(candidates)
+    expanded: list[tuple[Arc, ...] | None] = [None] * len(candidates)
     best = []
     for energy, row in scored:
         if energy > lowest[-1]:
             continue
         arcs: tuple[Arc, ...] = ()
         for c in _members(sets[row]):
-            if stack_arcs[c] is None:
-                i, j, size = candidates[c]
-                stack_arcs[c] = tuple(Arc(i + t, j - t) for t in range(size))
-            arcs += stack_arcs[c]
+            if expanded[c] is None:
+                expanded[c] = _stack_arcs(*candidates[c])
+            arcs += expanded[c]
         best.append((energy, arcs))
     best.sort()
     del best[n_best:]

@@ -4,13 +4,15 @@ Structures are sets of arcs (i, j) over positions 1..n drawn in the upper
 half-plane, with every position in at most one arc.  This module owns
 parsing and serialization of the extended dot-bracket notation, crossing
 analysis, canonicity validation, structure distance, and the stack
-view used by the rest of the package.
+view used by the rest of the package: stacks as (i, j, size) triples,
+their crossing and nesting masks, and the search for mutually crossing
+stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 UNPAIRED_CHAR = ":"
 _UNPAIRED_INPUT = {":", "."}  # "." tolerated on input, ":" is canonical
@@ -48,16 +50,6 @@ class OutOfRange(ValueError):
     """A position lies outside [1, n]."""
 
 
-def _crosses(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Arcs given as tuples (i, j, ...) cross: i1 < i2 < j1 < j2 or vice versa."""
-    return a[0] < b[0] < a[1] < b[1] or b[0] < a[0] < b[1] < a[1]
-
-
-def _nested(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Arc a nests strictly inside arc b: b.i < a.i < a.j < b.j."""
-    return b[0] < a[0] and a[1] < b[1]
-
-
 class Arc(NamedTuple):
     """Base pair (i, j) with 1 <= i < j.  Arc length is j - i."""
 
@@ -68,8 +60,14 @@ class Arc(NamedTuple):
     def length(self) -> int:
         return self.j - self.i
 
-    crosses = _crosses
-    nests_inside = _nested
+    def crosses(self, other: Arc) -> bool:
+        """The arcs cross: i1 < i2 < j1 < j2 or vice versa."""
+        return (self.i < other.i < self.j < other.j
+                or other.i < self.i < other.j < self.j)
+
+    def nests_inside(self, other: Arc) -> bool:
+        """This arc nests strictly inside other: other.i < i < j < other.j."""
+        return other.i < self.i and self.j < other.j
 
 
 @dataclass(frozen=True)
@@ -135,25 +133,6 @@ class Structure:
             return serialize_structure(self)
         except TooManyFamilies:
             return f"<Structure n={self.n} arcs={len(self.arcs)}>"
-
-
-@dataclass(frozen=True)
-class Stack:
-    """Maximal run of parallel arcs ((i,j), (i+1,j-1), ..., outermost first)."""
-
-    arcs: tuple[Arc, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.arcs)
-
-    @property
-    def outer(self) -> Arc:
-        return self.arcs[0]
-
-    @property
-    def inner(self) -> Arc:
-        return self.arcs[-1]
 
 
 @dataclass(frozen=True)
@@ -235,54 +214,87 @@ def serialize_structure(s: Structure) -> str:
     return "".join(chars)
 
 
+def _stack_arcs(i: int, j: int, size: int) -> tuple[Arc, ...]:
+    """Arcs of the stack (i, j, size): (i, j), ..., (i + size - 1, j - size + 1)."""
+    return tuple([Arc(i + t, j - t) for t in range(size)])
+
+
+def stacks(s: Structure) -> tuple[tuple[int, int, int], ...]:
+    """The maximal parallel runs of s as (i, j, size) triples, sorted by i.
+
+    The triple (i, j, size) stands for the arcs _stack_arcs(i, j, size).
+    Sorted arcs meet a run outermost first, right after the run's previous
+    arc, so one pass extends the last run whenever an arc lies just inside
+    its innermost arc.
+    """
+    out: list[tuple[int, int, int]] = []
+    for i, j in s.arcs:
+        if out:
+            head_i, head_j, size = out[-1]
+            if (head_i + size, head_j - size) == (i, j):
+                out[-1] = (head_i, head_j, size + 1)
+                continue
+        out.append((i, j, 1))
+    return tuple(out)
+
+
+def _relations(
+    n: int, triples: Sequence[tuple[int, int, int]]
+) -> tuple[list[int], list[int]]:
+    """Crossing and inside masks of stacks (i, j, size) sorted by i, within [1, n].
+
+    Bit b of crossing[a] is set when the outer arcs of stacks a and b
+    cross, bit b of inside[a] when b's outer arc nests strictly inside
+    a's.  All arcs of one stack relate alike to any other arc, so outer
+    arcs decide stack-level crossing and nesting.  The stacks may share
+    positions, as the oracle's candidate stacks do.
+    """
+    opens = [0] * (n + 2)  # stacks by outer i, then by outer i <= p
+    closes = [0] * (n + 2)  # stacks by outer j, then by outer j <= p
+    for c, (i, j, _) in enumerate(triples):
+        opens[i] = (2 << c) - 1  # the triples are sorted by i
+        closes[j] |= 1 << c
+    for p in range(1, n + 2):
+        opens[p] |= opens[p - 1]
+        closes[p] |= closes[p - 1]
+    crossing = []
+    inside = []
+    for i, j, _ in triples:
+        # outer arcs with i < i' < j < j' or i' < i < j' < j
+        crossing.append((opens[j - 1] & ~opens[i] & ~closes[j])
+                        | (opens[i - 1] & closes[j - 1] & ~closes[i]))
+        # outer arcs with i < i' < j' < j
+        inside.append(opens[j] & ~opens[i] & closes[j - 1])
+    return crossing, inside
+
+
+def _has_clique(mask: int, size: int, crossing: list[int]) -> bool:
+    """Whether mask holds size mutually crossing stacks, per the crossing masks."""
+    if size == 0:
+        return True
+    while mask.bit_count() >= size:
+        low = mask & -mask
+        mask ^= low
+        if _has_clique(mask & crossing[low.bit_length() - 1], size - 1, crossing):
+            return True
+    return False
+
+
 def crossing_number(s: Structure) -> int:
     """Largest k such that k arcs mutually cross; 0 for the empty diagram.
 
-    Mutual pairwise crossing is equivalent to the staircase pattern
-    i1 < ... < ik < j1 < ... < jk, so this is a maximum clique in the
-    crossing graph, computed exactly (inputs are desk-scale).
+    Two arcs of one stack never cross, and all arcs of one stack cross any
+    other arc alike, so this is the largest set of mutually crossing
+    stacks: a maximum clique in their crossing graph, computed exactly
+    (inputs are desk-scale).
     """
-    arcs = s.arcs
-    if not arcs:
-        return 0
-    m = len(arcs)
-    adjacency = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if arcs[a].crosses(arcs[b]):
-                adjacency[a] |= 1 << b
-                adjacency[b] |= 1 << a
-    best = 1
-
-    def grow(size: int, candidates: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while candidates:
-            if size + candidates.bit_count() <= best:
-                return
-            v = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            grow(size + 1, candidates & adjacency[v])
-
-    grow(0, (1 << m) - 1)
-    return best
-
-
-def stacks(s: Structure) -> tuple[Stack, ...]:
-    """Partition the arcs into maximal parallel runs, sorted by outer arc."""
-    arc_set = set(s.arcs)
-    out = []
-    for arc in s.arcs:
-        if Arc(arc.i - 1, arc.j + 1) in arc_set:
-            continue  # interior member of a run, not its head
-        run = [arc]
-        nxt = Arc(arc.i + 1, arc.j - 1)
-        while nxt in arc_set:
-            run.append(nxt)
-            nxt = Arc(nxt.i + 1, nxt.j - 1)
-        out.append(Stack(tuple(run)))
-    return tuple(out)
+    triples = stacks(s)
+    crossing, _ = _relations(s.n, triples)
+    everything = (1 << len(triples)) - 1
+    k = 0
+    while _has_clique(everything, k + 1, crossing):
+        k += 1
+    return k
 
 
 def validate_target(
@@ -304,12 +316,12 @@ def validate_target(
                 f"(structure is not {policy.k}-noncrossing)",
             )
         )
-    for stack in stacks(s):
-        if stack.size < policy.sigma:
+    for i, j, size in stacks(s):
+        if size < policy.sigma:
             out.append(
                 Violation(
                     "stack-size",
-                    f"stack at {tuple(stack.outer)} has size {stack.size} "
+                    f"stack at {(i, j)} has size {size} "
                     f"< {policy.sigma}",
                 )
             )

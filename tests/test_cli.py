@@ -133,13 +133,14 @@ class TestInverse:
             return {
                 "trial": spec.trial, "seed": spec.seed,
                 "target": spec.target_text, "success": False,
-                "sequence": None, "oracle_calls": 0,
+                "sequence": None, "oracle_calls": 0, "reason": "budget spent",
                 "_elapsed": float(spec.trial + 1),
             }
 
         monkeypatch.setattr(cli, "_run_trial", failed_trial)
         result = run("inverse", "--target", "(((....)))", "--trials", "5")
         assert result.exit_code == 1
+        assert result.output.splitlines()[1] == "Failed! budget spent"
         assert "p90_time=5.000s" in result.output.splitlines()[-1]
 
     @pytest.mark.parametrize(
@@ -177,6 +178,7 @@ class TestInverse:
         assert "Traceback" not in result.output
         record = json.loads(result.output.splitlines()[0])
         assert record["success"] is False and record["target"] == target
+        assert "refused" in record["reason"]
 
     def test_target_past_length_guard_exits_2(self):
         result = run("inverse", "--target", "(((" + ":" * 35 + ")))")
@@ -212,15 +214,19 @@ def test_model_load_error_exits_2(tmp_path, command, content):
     lambda path: path.write_text(""),
     lambda path: path.mkdir(),
     lambda path: path.write_bytes(b"\xff\xfe(((....)))"),
-], ids=["empty", "directory", "undecodable"])
+    None,  # an empty literal in place of a file
+], ids=["empty", "directory", "undecodable", "empty-literal"])
 def test_unreadable_target_file_exits_2(tmp_path, command, make):
-    path = tmp_path / "target"
-    make(path)
-    result = run(*command(str(path)))
+    argument = ""
+    if make is not None:
+        path = tmp_path / "target"
+        make(path)
+        argument = str(path)
+    result = run(*command(argument))
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert len(result.output.strip().splitlines()) == 1
-    assert str(path) in result.output
+    assert argument in result.output
 
 
 class TestFoldCommand:

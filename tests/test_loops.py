@@ -153,10 +153,8 @@ class TestDecompose:
     @settings(max_examples=80, deadline=None)
     @given(seeds(), st.integers(12, 28))
     def test_pseudoknot_loops_satisfy_connectivity_and_minimality(self, seed, n):
-        from pkinv.structure import stacks as stacks_of
-
         s = random_valid_structure(random.Random(seed), n)
-        all_stacks = stacks_of(s)
+        all_stacks = stacks(s)
         for loop in decompose_loops(s):
             if loop.kind != "pseudoknot":
                 continue
@@ -174,24 +172,19 @@ class TestDecompose:
                         todo.append(nxt)
             assert seen == set(members)
             # each member stack is a minimal crossing element for some stack
-            member_stacks = {st for st in all_stacks if st.outer in members}
-            for stack in member_stacks:
+            outer = [Arc(i, j) for i, j, _ in all_stacks]
+            for stack in (a for a in outer if a in members):
                 witnesses = [
                     other
-                    for other in all_stacks
-                    if stack.outer.crosses(other.outer)
+                    for other in outer
+                    if stack.crosses(other)
                     and not any(
-                        third.outer.nests_inside(stack.outer)
-                        and third.outer.crosses(other.outer)
-                        for third in all_stacks
-                        if third is not stack
+                        third.nests_inside(stack) and third.crosses(other)
+                        for third in outer
+                        if third != stack
                     )
                 ]
                 assert witnesses, (s.arcs, stack)
-
-
-def census_of(s: Structure):
-    return loop_census([(*st.outer, st.size) for st in stacks(s)])
 
 
 def decomposition_counts(s: Structure):
@@ -208,21 +201,21 @@ def decomposition_counts(s: Structure):
 
 class TestLoopCensus:
     def test_known_structures(self):
-        assert census_of(Structure(6, ())) == (0, 0, 0, 0, 0)
-        assert census_of(HAIRPIN) == (1, 0, 2, 0, 0)
-        assert census_of(PK18) == (0, 0, 0, 0, 1)
-        assert census_of(ORDERED_COMPONENTS_65) == (2, 0, 7, 1, 1)
+        assert loop_census(Structure(6, ())) == (0, 0, 0, 0, 0)
+        assert loop_census(HAIRPIN) == (1, 0, 2, 0, 0)
+        assert loop_census(PK18) == (0, 0, 0, 0, 1)
+        assert loop_census(ORDERED_COMPONENTS_65) == (2, 0, 7, 1, 1)
 
     def test_matches_decomposition_on_every_small_structure(self):
         for n in range(17):
             for s in enumerate_structures(n):
-                assert census_of(s) == decomposition_counts(s), s.arcs
+                assert loop_census(s) == decomposition_counts(s), s.arcs
 
     @settings(max_examples=300, deadline=None)
     @given(seeds(), st.integers(10, 40))
     def test_matches_decomposition_on_random_structures(self, seed, n):
         s = random_valid_structure(random.Random(seed), n, max_stacks=6)
-        assert census_of(s) == decomposition_counts(s)
+        assert loop_census(s) == decomposition_counts(s)
 
 
 class TestOrderAndIntervals:
@@ -260,6 +253,7 @@ class TestOrderAndIntervals:
 
     def test_empty_structure_plan(self):
         assert build_intervals(Structure(7, ())).intervals == ((1, 7),)
+        assert build_intervals(Structure(0, ())).intervals == ()
 
     def test_pseudoknot_18_plan(self):
         plan = build_intervals(PK18)

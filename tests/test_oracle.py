@@ -23,6 +23,7 @@ from pkinv import (
     energy_of,
     enumerate_structures,
     fold,
+    inverse_fold,
     is_compatible,
     parse_structure,
     validate_target,
@@ -145,7 +146,7 @@ class TestEnergy:
         path = tmp_path / "model.cfg"
         path.write_text("# comment\npair.GU = -2.5\nloop.pseudoknot = 4\n")
         model = EnergyModel.from_file(path)
-        assert model.pair_score("G", "U") == -2.5
+        assert dict(model.pair_scores)["GU"] == -2.5
         assert model.pseudoknot == 4.0
 
 
@@ -280,6 +281,10 @@ class TestFold:
             fold("GGGAAAACCCAGGGAAACCCAAGGGCCCAAAGGGCC", 50)
             assert gc.collect() == 0
             list(enumerate_structures(12))
+            assert gc.collect() == 0
+            validate_target(parse_structure("(((.{{{.[[[.))).(((.]]].[[[.))).}}}.]]]"))
+            assert gc.collect() == 0
+            inverse_fold(PSEUDOKNOT_18)
             assert gc.collect() == 0
         finally:
             gc.enable()

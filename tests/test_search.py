@@ -1,11 +1,14 @@
 """Perturbations, competitors, mutation rules, and the full search."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pkinv.search
 from pkinv import (
     Arc,
     SearchConfig,
@@ -388,3 +391,14 @@ class TestInverseFold:
         for line in lines:
             record = json.loads(line)
             assert record["phase"] in ("adjust", "local")
+
+
+def test_bench_span_hooks_name_search_globals():
+    # the traced benchmark patches these pkinv.search globals by name, so a
+    # rename in the package must fail here too
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [name for name in spans.SEARCH_HOOKS if not hasattr(pkinv.search, name)]
+    assert missing == []

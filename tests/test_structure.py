@@ -1,5 +1,6 @@
 """Diagram parsing, serialization, crossing analysis, and distances."""
 
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from pkinv.structure import (
     LengthMismatch,
     OutOfRange,
     UnbalancedBracket,
+    _stack_arcs,
 )
 
 from .helpers import PSEUDOKNOT_18, random_valid_structure
@@ -110,24 +112,39 @@ class TestCrossingNumber:
     def test_pseudoknot_is_two(self):
         assert crossing_number(parse_structure(PSEUDOKNOT_18)) == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.permutations(range(1, 15)), st.integers(0, 7), st.booleans())
+    def test_equals_arc_level_brute_force(self, order, m, doubled):
+        pairs = [(min(a, b), max(a, b)) for a, b in zip(order[:m], order[m:2 * m])]
+        if doubled:  # every arc becomes a stack of two, so runs are common
+            pairs = [(2 * a - t, 2 * b - 1 + t) for a, b in pairs for t in (1, 0)]
+        s = Structure.from_pairs(28, pairs)
+        mutual = [
+            r
+            for r in range(len(s.arcs) + 1)
+            for group in itertools.combinations(s.arcs, r)
+            if all(a.crosses(b) for a, b in itertools.combinations(group, 2))
+        ]
+        assert crossing_number(s) == max(mutual)
+
 
 class TestStacks:
     def test_single_stack(self):
-        (stack,) = stacks(parse_structure(HAIRPIN))
-        assert stack.size == 3
+        assert stacks(parse_structure(HAIRPIN)) == ((1, 10, 3),)
 
     def test_two_stacks(self):
         got = stacks(parse_structure(PSEUDOKNOT_18))
-        assert [st.size for st in got] == [3, 3]
+        assert [size for _, _, size in got] == [3, 3]
 
     def test_broken_run_splits(self):
         got = stacks(Structure.from_pairs(10, [(1, 10), (3, 8)]))
-        assert [st.size for st in got] == [1, 1]
+        assert got == ((1, 10, 1), (3, 8, 1))
 
     @settings(max_examples=100, deadline=None)
     @given(structures())
     def test_partition(self, s):
-        assert sum(st.size for st in stacks(s)) == len(s.arcs)
+        arcs = [a for st in stacks(s) for a in _stack_arcs(*st)]
+        assert sorted(arcs) == list(s.arcs)
 
 
 class TestValidate:
