@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import click
 
 from .loops import build_intervals
-from .oracle import DEFAULT_MODEL, EnergyModel, ReferenceFoldOracle
+from .oracle import DEFAULT_MODEL, MAX_LENGTH, EnergyModel, ReferenceFoldOracle
 from .search import SearchConfig, SearchFailed, inverse_fold
-from .sequences import validate_sequence
 from .structure import (
     ValidationPolicy,
     parse_structure,
@@ -163,9 +162,9 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
         ctx.exit(EXIT_INVALID)
 
     verifier = ReferenceFoldOracle(policy, model)
-    if parsed.n > verifier.size_guard:
+    if parsed.n > MAX_LENGTH:
         click.echo(f"target length {parsed.n} exceeds the oracle's length guard "
-                   f"{verifier.size_guard}", err=True)
+                   f"{MAX_LENGTH}", err=True)
         ctx.exit(EXIT_INVALID)
 
     specs = [
@@ -242,15 +241,16 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
 def fold_cmd(ctx, sequence, n_best, k, sigma, min_arc_length, model):
     """Print the n best structures for a sequence as TSV."""
     try:
-        validate_sequence(sequence)
         oracle = ReferenceFoldOracle(ValidationPolicy(k, sigma, min_arc_length),
                                      model)
         result = oracle.fold(sequence, n_best)
+        lines = [f"{serialize_structure(struct)}\t{energy:g}"
+                 for struct, energy in zip(result.structures, result.energies)]
     except ValueError as exc:
         click.echo(str(exc), err=True)
         ctx.exit(EXIT_INVALID)
-    for struct, energy in zip(result.structures, result.energies):
-        click.echo(f"{serialize_structure(struct)}\t{energy:g}")
+    for line in lines:
+        click.echo(line)
 
 
 @main.command("distance")

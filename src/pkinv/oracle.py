@@ -10,8 +10,8 @@ base pair plus nonnegative penalties per loop.  The defaults reward long
 stacks and make pseudoknots pay for their crossings; all values can be
 overridden programmatically or from a key=value config file.
 
-Enumeration is exact and exponential: it is guarded by length and capped
-at MAX_STRUCTURES structures per call.
+Enumeration is exact and exponential: it is guarded at MAX_LENGTH bases
+and capped at MAX_STRUCTURES structures per call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .structure import (
     _stack_arcs,
 )
 
-DEFAULT_SIZE_GUARD = 40
+MAX_LENGTH = 40
 # Structures one fold or enumeration may visit: above the 161k valid
 # structures of length 28, below what exhausts memory.
 MAX_STRUCTURES = 250_000
@@ -163,18 +163,18 @@ def energy_of(
     return total + model.loop_energy(loop_census(s))
 
 
-def _guard(n: int, size_guard: int, force: bool) -> None:
-    if n > size_guard and not force:
-        raise SizeGuard(
-            f"length {n} exceeds the enumeration guard {size_guard}; "
-            "pass force=True to override"
-        )
+def _guard(n: int) -> None:
+    if n > MAX_LENGTH:
+        raise SizeGuard(f"length {n} exceeds the enumeration guard {MAX_LENGTH}")
 
 
 def _pair_masks(seq: str) -> list[int]:
     """masks[p]: bit q set when position q can pair with position p (1-based)."""
     if seq.translate(_DROP_BASES):
-        raise IncompatibleInput(f"sequence {seq!r} contains non-ACGU characters")
+        position, char = next((p, c) for p, c in enumerate(seq, 1) if c not in BASES)
+        raise IncompatibleInput(
+            f"sequence contains non-ACGU characters: {char!r} at position {position}"
+        )
     # the last digit is position 1; the shift makes bit q position q
     backward = "0" + seq[::-1]
     partners = {
@@ -283,14 +283,11 @@ def _stack_sets(
 def enumerate_structures(
     n: int,
     policy: ValidationPolicy | None = None,
-    *,
-    size_guard: int = DEFAULT_SIZE_GUARD,
-    force: bool = False,
 ) -> Iterator[Structure]:
     """Yield every valid structure of length n exactly once, in sorted order."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    _guard(n, size_guard, force)
+    _guard(n)
     policy = policy or ValidationPolicy()
     candidates = _candidate_stacks(policy, [(1 << (n + 1)) - 2] * (n + 1))
     _, sets, _, _ = _stack_sets(n, policy, candidates, [()] * len(candidates))
@@ -306,9 +303,6 @@ def fold(
     n_best: int = 1,
     policy: ValidationPolicy | None = None,
     model: EnergyModel = DEFAULT_MODEL,
-    *,
-    size_guard: int = DEFAULT_SIZE_GUARD,
-    force: bool = False,
 ) -> FoldResult:
     """The n_best lowest-energy structures compatible with seq.
 
@@ -326,7 +320,7 @@ def fold(
         raise ValueError("n_best must be at least 1")
     policy = policy or ValidationPolicy()
     n = len(seq)
-    _guard(n, size_guard, force)
+    _guard(n)
     candidates = _candidate_stacks(policy, _pair_masks(seq))
     pair = dict(model.pair_scores)
     scores = [  # tuple(list) builds short tuples faster than tuple(generator)
@@ -381,14 +375,9 @@ class ReferenceFoldOracle:
         self,
         policy: ValidationPolicy | None = None,
         model: EnergyModel = DEFAULT_MODEL,
-        *,
-        size_guard: int = DEFAULT_SIZE_GUARD,
-        force: bool = False,
     ):
         self.policy = policy or ValidationPolicy()
         self.model = model
-        self.size_guard = size_guard
-        self.force = force
         self._cache: OrderedDict[tuple[str, int], FoldResult] = OrderedDict()
 
     def fold(self, seq: str, n_best: int = 1) -> FoldResult:
@@ -396,14 +385,7 @@ class ReferenceFoldOracle:
         # pop with a default, never del: a concurrent caller may have evicted it
         result = self._cache.pop(key, None)
         if result is None:
-            result = fold(
-                seq,
-                n_best,
-                self.policy,
-                self.model,
-                size_guard=self.size_guard,
-                force=self.force,
-            )
+            result = fold(seq, n_best, self.policy, self.model)
         self._cache[key] = result
         if len(self._cache) > MAX_MEMO_ENTRIES:
             self._cache.popitem(last=False)

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from random import Random
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .loops import ArcNotInStructure, IntervalPlan, build_intervals
 from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard, _pair_masks
@@ -60,36 +60,26 @@ class SearchFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """All tunables of the search.
+    """The suboptimal list size and the seed of one search.
 
-    adjust_rounds defaults to ceil(sqrt(n) / 2) when left as None.  The
-    cap on oracle calls per local-search interval is phase_cap_factor * n.
+    The other parameters of the search are fixed.  The cap on oracle
+    calls per local-search interval is phase_cap_factor * n.
     """
 
+    distance_slack: ClassVar[int] = 5
+    mutation_retries: ClassVar[int] = 5
+    uphill_probability: ClassVar[float] = 0.1
+    uphill_margin: ClassVar[int] = 5
+    phase_cap_factor: ClassVar[int] = 10
+
     n_best: int = 50
-    adjust_rounds: int | None = None
-    distance_slack: int = 5
-    mutation_retries: int = 5
-    uphill_probability: float = 0.1
-    uphill_margin: int = 5
-    phase_cap_factor: int = 10
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_best < 1 or self.mutation_retries < 1:
-            raise ValueError("n_best and mutation_retries must be positive")
-        if self.distance_slack < 0 or self.uphill_margin < 0:
-            raise ValueError("slack and margin must be nonnegative")
-        if not 0.0 <= self.uphill_probability <= 1.0:
-            raise ValueError("uphill_probability must be a probability")
-        if self.phase_cap_factor < 1:
-            raise ValueError("phase_cap_factor must be positive")
-        if self.adjust_rounds is not None and self.adjust_rounds < 1:
-            raise ValueError("adjust_rounds must be positive")
+        if self.n_best < 1:
+            raise ValueError("n_best must be positive")
 
     def rounds_for(self, n: int) -> int:
-        if self.adjust_rounds is not None:
-            return self.adjust_rounds
         return max(1, math.ceil(math.sqrt(n) / 2))
 
 

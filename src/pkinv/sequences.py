@@ -32,14 +32,6 @@ def can_pair(x: str, y: str) -> bool:
     return x + y in _PAIR_SET
 
 
-def validate_sequence(seq: str) -> None:
-    for idx, char in enumerate(seq):
-        if char not in BASES:
-            raise IncompatibleInput(
-                f"character {char!r} at position {idx + 1} is not one of ACGU"
-            )
-
-
 def is_compatible(seq: str, s: Structure) -> bool:
     if len(seq) != s.n:
         raise LengthMismatch(f"sequence length {len(seq)} != structure length {s.n}")

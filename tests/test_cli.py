@@ -244,6 +244,18 @@ class TestFoldCommand:
     def test_bad_sequence_exits_2(self):
         result = run("fold", "GGXC")
         assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # nothing escaped
+        assert "Traceback" not in result.output
+        assert "'X' at position 3" in result.output
+
+    def test_structure_past_three_families_exits_2(self):
+        # the second of three co-optimal structures is four mutually
+        # crossing stacks, which three bracket families cannot write
+        result = run("fold", "GGGCCCGGGCCCCCCGGGCCCGGG", "--k", "5", "-N", "3")
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert "bracket families" in result.stderr
 
     def test_output_is_pinned(self):
         # fold -N 50 output is a cross-commit contract, like the campaign's

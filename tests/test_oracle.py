@@ -71,10 +71,15 @@ class TestEnumerate:
             assert s.arcs not in seen
             seen.add(s.arcs)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_LENGTH", 12)
+        with pytest.raises(SizeGuard, match="length 13 exceeds"):
+            list(enumerate_structures(13))
         with pytest.raises(SizeGuard):
-            list(enumerate_structures(13, size_guard=12))
-        assert sum(1 for _ in enumerate_structures(13, size_guard=12, force=True)) > 0
+            fold("G" * 13)
+        with pytest.raises(SizeGuard):
+            ReferenceFoldOracle().fold("G" * 13)
+        assert sum(1 for _ in enumerate_structures(12)) > 0
 
     def test_structure_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_STRUCTURES", 100)

@@ -250,6 +250,16 @@ class TestMutation:
         assert is_compatible(out.sequence, competitor)
 
 
+class TestSearchConfig:
+    def test_n_best_must_be_positive(self):
+        with pytest.raises(ValueError, match="n_best"):
+            SearchConfig(n_best=0)
+
+    def test_fixed_parameters_are_not_settable(self):
+        with pytest.raises(TypeError):
+            SearchConfig(mutation_retries=3)
+
+
 class TestAdjust:
     def test_immediate_return_when_start_folds_to_target(self):
         oracle = _CountingOracle(ReferenceFoldOracle())
@@ -402,3 +412,9 @@ def test_bench_span_hooks_name_search_globals():
     spec.loader.exec_module(spans)
     missing = [name for name in spans.SEARCH_HOOKS if not hasattr(pkinv.search, name)]
     assert missing == []
+
+
+def test_bench_reads_distance_slack_from_a_config():
+    # bench/run.py reads SearchConfig().distance_slack, so the fixed search
+    # parameters must stay readable from an instance
+    assert isinstance(SearchConfig().distance_slack, int)
