@@ -11,12 +11,19 @@ stacks and make pseudoknots pay for their crossings; all values can be
 overridden programmatically or from a key=value config file.
 
 Enumeration is exact and exponential: it is guarded at MAX_LENGTH bases
-and capped at MAX_STRUCTURES structures per call.
+and capped at MAX_STRUCTURES structures per call.  fold scores the
+enumerated structures lazily, in ascending order of a lower bound: the
+pair-score sum plus a loop floor (_loop_floor) that counts the loops a
+structure's stacks must close.  A stack outside every pseudoknot closes
+exactly one hairpin, interior or multi loop; without crossings some
+stack closes a hairpin; any crossing yields a pseudoknot; and a stack
+that crosses nothing never joins one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -229,9 +236,11 @@ def _stack_sets(
     from forming one longer run makes the stack decomposition canonical,
     so no arc set appears twice; the crossing bound rejects any policy.k
     mutually crossing stacks.  Each structure comes with its pair-score
-    sum: the scores[c] of its candidates c, added in sorted arc order.
-    The candidates' crossing and inside masks, from structure._relations,
-    come back too.
+    sum: the scores[c] of its candidates c, added in sorted arc order,
+    and its shape, 2 * free + knotted for _loop_floor: free counts its
+    stacks that cross none of its stacks, and knotted is 1 when any two
+    of them cross.  The candidates' crossing and inside masks, from
+    structure._relations, come back too.
     """
     cap = MAX_STRUCTURES
     covering = [0] * (n + 2)  # candidates by paired position
@@ -253,31 +262,46 @@ def _stack_sets(
         compatible.append(~clash)
     crossing, inside = _relations(n, candidates)
     max_mutual = policy.k - 1
-    sums: list[float] = []
-    sets: list[int] = []
-    # depth first over (allowed, chosen, pair-score sum); a child only
-    # adds candidates above every chosen one
-    todo = [((1 << len(candidates)) - 1, 0, 0.0)]
+    # the empty structure, then each child as it is found
+    sums: list[float] = [0.0]
+    sets: list[int] = [0]
+    shapes: list[int] = [0]
+    # depth first over (allowed, chosen, pair-score sum, free, shape),
+    # where free masks the chosen stacks that cross no chosen stack; a
+    # child only adds candidates above every chosen one, and one with
+    # none left to add is not pushed
+    todo = [((1 << len(candidates)) - 1, 0, 0.0, 0, 0)]
     while todo:
-        allowed, chosen, total = todo.pop()
-        sums.append(total)
-        sets.append(chosen)
-        if len(sets) > cap:
-            raise SizeGuard(f"more than {cap} structures to enumerate at "
-                            f"length {n}; the cap bounds time and memory")
+        allowed, chosen, total, free, shape = todo.pop()
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             c = low.bit_length() - 1
             crossers = crossing[c] & chosen
-            if (crossers.bit_count() >= max_mutual
-                    and _has_clique(crossers, max_mutual, crossing)):
-                continue
+            if crossers:
+                if (crossers.bit_count() >= max_mutual
+                        and _has_clique(crossers, max_mutual, crossing)):
+                    continue
+                knotted = crossers & free  # free no longer, like c itself
+                child_free = free ^ knotted
+                child_shape = (shape | 1) - 2 * knotted.bit_count()
+            else:
+                child_free = free | low
+                child_shape = shape + 2
             extended = total
             for score in scores[c]:
                 extended += score
-            todo.append((allowed & compatible[c], chosen | low, extended))
-    return sums, sets, crossing, inside
+            child = chosen | low
+            sums.append(extended)
+            sets.append(child)
+            shapes.append(child_shape)
+            rest = allowed & compatible[c]
+            if rest:
+                todo.append((rest, child, extended, child_free, child_shape))
+        if len(sets) > cap:
+            raise SizeGuard(f"more than {cap} structures to enumerate at "
+                            f"length {n}; the cap bounds time and memory")
+    return sums, sets, shapes, crossing, inside
 
 
 def enumerate_structures(
@@ -290,12 +314,36 @@ def enumerate_structures(
     _guard(n)
     policy = policy or ValidationPolicy()
     candidates = _candidate_stacks(policy, [(1 << (n + 1)) - 2] * (n + 1))
-    _, sets, _, _ = _stack_sets(n, policy, candidates, [()] * len(candidates))
+    _, sets, _, _, _ = _stack_sets(n, policy, candidates, [()] * len(candidates))
     for arcs in sorted(
         tuple(a for c in _members(chosen) for a in _stack_arcs(*candidates[c]))
         for chosen in sets
     ):
         yield Structure(n, arcs)
+
+
+def _loop_floor(model: EnergyModel, free: int, knotted: bool) -> float:
+    """The loop floor of fold's bound, for a structure of one shape.
+
+    free counts the structure's stacks that cross none of its stacks, and
+    knotted says whether any two of them cross; without a crossing every
+    stack is free.  The float returned lies 16 ulps below the floor's
+    float sum, a margin rather than a derivation from loop_energy's order
+    of operations: every value loop_energy and the floor compute is
+    nonnegative and at most about their result, and each of their 9 + 2
+    roundings moves it by at most 2**-53 of that (a result below the
+    normal range is exact), so the floor never exceeds the float
+    loop_energy returns, for any finite model.
+    """
+    cheapest = min(model.hairpin, model.interior, model.multi)
+    if knotted:
+        floor = model.pseudoknot + free * cheapest
+    elif free:
+        floor = model.hairpin + (free - 1) * cheapest
+    else:
+        return 0.0
+    floor = min(floor, sys.float_info.max)  # an overflow must not make nan
+    return floor - 16 * math.ulp(floor)
 
 
 def fold(
@@ -310,11 +358,24 @@ def fold(
     list, so results are fully deterministic.  Fewer than n_best
     structures come back when the compatible space is smaller.
 
-    Only stacks whose pairs all bond with seq are enumerated.  Loop
-    penalties are >= 0 and a nonempty structure closes a hairpin or a
-    pseudoknot loop, so its pair-score sum plus the smaller of those two
-    penalties bounds its energy from below.  Structures are scored in
-    ascending bound until the bound exceeds the n_best-th energy found.
+    Only stacks whose pairs all bond with seq are enumerated.  A
+    structure's energy is at least its pair-score sum plus a loop floor.
+    With s its stacks, u of them crossing none of its stacks, and m the
+    cheapest of hairpin, interior and multi, the floor is 0 for the open
+    chain, hairpin + (s - 1) * m without a crossing and pseudoknot + u * m
+    with one, because stacked pairs cost >= 0 and:
+
+    1. a stack outside every pseudoknot closes exactly one hairpin, gapped
+       interior or multi loop, so it costs at least m;
+    2. without a crossing some stack has nothing inside it and closes a
+       hairpin;
+    3. a crossing yields at least one pseudoknot, since the nesting-minimal
+       crossing partners of a crossed stack are always kept in one;
+    4. a stack that crosses nothing never joins a pseudoknot.
+
+    _loop_floor keeps the floor below the energy as computed, too.
+    Structures are scored in ascending bound until the bound exceeds the
+    n_best-th energy found, so ties with it are still scored.
     """
     if n_best < 1:
         raise ValueError("n_best must be at least 1")
@@ -327,10 +388,11 @@ def fold(
         tuple([pair[seq[i + t - 1] + seq[j - t - 1]] for t in range(size)])
         for i, j, size in candidates
     ]
-    sums, sets, crossing, inside = _stack_sets(n, policy, candidates, scores)
+    sums, sets, shapes, crossing, inside = _stack_sets(n, policy, candidates, scores)
     sizes = [size for _, _, size in candidates]
-    floor = min(model.hairpin, model.pseudoknot)
-    bounds = [total + floor if chosen else total for total, chosen in zip(sums, sets)]
+    floors = [_loop_floor(model, shape >> 1, shape & 1)
+              for shape in range(max(shapes) + 1)]
+    bounds = [total + floors[shape] for total, shape in zip(sums, shapes)]
     lowest: list[float] = []  # the n_best lowest energies so far
     scored = []
     for row in sorted(range(len(sums)), key=bounds.__getitem__):
@@ -344,16 +406,13 @@ def fold(
     # a row's arcs are its stacks' arcs in candidate order: stacks pair
     # disjoint positions and each one's left ends are consecutive, so the
     # concatenation is sorted
-    expanded: list[tuple[Arc, ...] | None] = [None] * len(candidates)
     best = []
     for energy, row in scored:
         if energy > lowest[-1]:
             continue
         arcs: tuple[Arc, ...] = ()
         for c in _members(sets[row]):
-            if expanded[c] is None:
-                expanded[c] = _stack_arcs(*candidates[c])
-            arcs += expanded[c]
+            arcs += _stack_arcs(*candidates[c])
         best.append((energy, arcs))
     best.sort()
     del best[n_best:]

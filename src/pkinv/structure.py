@@ -11,6 +11,7 @@ stacks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -214,6 +215,8 @@ def serialize_structure(s: Structure) -> str:
     return "".join(chars)
 
 
+# folds of one length expand the same stacks again and again
+@functools.lru_cache(maxsize=4096)
 def _stack_arcs(i: int, j: int, size: int) -> tuple[Arc, ...]:
     """Arcs of the stack (i, j, size): (i, j), ..., (i + size - 1, j - size + 1)."""
     return tuple([Arc(i + t, j - t) for t in range(size)])

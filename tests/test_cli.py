@@ -3,7 +3,11 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -55,8 +59,17 @@ class TestInverse:
         args = ["inverse", "--target", "(((....)))", "--trials", "4",
                 "--seed", "2", "--format", "jsonl"]
         serial = run(*args, "--jobs", "1")
-        parallel = run(*args, "--jobs", "2")
-        assert serial.output == parallel.output
+        for jobs in ("2", "8"):  # 8 jobs start one worker per trial
+            assert run(*args, "--jobs", jobs).output == serial.output
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only a campaign with jobs and trials above 1 pays for the pool
+        code = ("import sys, pkinv.cli; print(sorted(sys.modules.keys()"
+                " & {'concurrent.futures.process', 'multiprocessing'}))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_target_from_file(self, tmp_path):
         path = tmp_path / "t.txt"

@@ -29,8 +29,10 @@ from pkinv import (
     validate_target,
 )
 from pkinv import oracle
+from pkinv.loops import loop_census
 from pkinv.oracle import DEFAULT_MODEL, EnergyModel, ReferenceFoldOracle, SizeGuard
 from pkinv.sequences import IncompatibleInput
+from pkinv.structure import _relations, stacks
 
 from .helpers import (
     PSEUDOKNOT_18,
@@ -38,6 +40,7 @@ from .helpers import (
     naive_min_energy,
     naive_valid_structures,
     random_sequence,
+    random_valid_structure,
 )
 
 HAIRPIN = parse_structure("(((....)))")
@@ -46,11 +49,33 @@ HAIRPIN = parse_structure("(((....)))")
 # base-64 digits, so no wrong count can tie with the right one.
 CENSUS_MODEL = EnergyModel(stacked=1.0, interior=64.0, hairpin=64.0**2,
                            multi=64.0**3, pseudoknot=64.0**4)
+# Fractional values that round, with multi the cheapest loop.
+FRACTIONAL_MODEL = EnergyModel(
+    pair_scores=(("AU", -2.1), ("CG", -3.3), ("GC", -3.3),
+                 ("GU", -0.7), ("UA", -2.1), ("UG", -0.7)),
+    hairpin=0.7, interior=0.3, multi=0.1, pseudoknot=0.2,
+)
 
 
 @lru_cache(maxsize=None)
 def all_structures(n):
     return tuple(enumerate_structures(n))
+
+
+@lru_cache(maxsize=None)
+def floor_samples():
+    """Distinct ((free, knotted), loop census) pairs, as oracle._loop_floor
+    and EnergyModel.loop_energy take them, of every valid structure up to
+    n = 16 and of 2,000 random valid ones up to n = 40."""
+    rng = random.Random(5)
+    samples = [s for n in range(17) for s in all_structures(n)]
+    samples += [random_valid_structure(rng, rng.randint(10, 40), max_stacks=8)
+                for _ in range(2000)]
+    out = set()
+    for s in samples:
+        crossing, _ = _relations(s.n, stacks(s))
+        out.add(((sum(not mask for mask in crossing), any(crossing)), loop_census(s)))
+    return sorted(out)
 
 
 class TestEnumerate:
@@ -214,7 +239,13 @@ class TestFold:
         st.integers(0, 2**32 - 1),
         st.integers(9, 24),
         st.sampled_from(("ACGU", "GCU", "GC")),
-        st.sampled_from((DEFAULT_MODEL, CENSUS_MODEL)),
+        st.sampled_from((
+            DEFAULT_MODEL,
+            CENSUS_MODEL,
+            EnergyModel(pseudoknot=0.5),  # a pseudoknot cheaper than a hairpin
+            FRACTIONAL_MODEL,
+            EnergyModel(hairpin=0.0, interior=0.0, multi=0.0, pseudoknot=0.0),
+        )),
     )
     def test_equals_scored_enumeration(self, seed, n, alphabet, model):
         rng = random.Random(seed)
@@ -272,6 +303,54 @@ class TestFold:
         assert digest == (
             "c56238ea8fc14a1391873e36d7aab16254c15bf5de93c21588a5231e8c25d022"
         )
+
+    @pytest.mark.parametrize("model", [DEFAULT_MODEL, CENSUS_MODEL, FRACTIONAL_MODEL])
+    def test_loop_floor_bounds_loop_energy(self, model):
+        attained = set()
+        for shape, census in floor_samples():
+            floor = oracle._loop_floor(model, *shape)
+            assert floor <= model.loop_energy(census), (shape, census)
+            # the floor leaves stacked pairs out; otherwise it is attained
+            unstacked = model.loop_energy((*census[:2], 0, *census[3:]))
+            if math.isclose(floor, unstacked, rel_tol=1e-12):
+                attained.add(shape)
+        assert len(attained) >= 4  # attained on several shapes, not merely low
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0, 1e300) | st.floats(0, 1e-300) | st.integers(0, 9),
+                    min_size=5, max_size=5))
+    def test_loop_floor_survives_rounding(self, penalties):
+        model = EnergyModel(**dict(zip(oracle._LOOP_PENALTIES, map(float, penalties))))
+        for shape, census in floor_samples():
+            assert oracle._loop_floor(model, *shape) <= model.loop_energy(census)
+
+    def test_loop_floor_margin_covers_summation_order(self):
+        # 2 hairpins and 3 gapped interiors: loop_energy adds 2m + 3m,
+        # which for this m rounds one ulp below the plain floor m + 4m
+        m = float.fromhex("0x1.37eb8e400ae0fp+1")
+        model = EnergyModel(hairpin=m, interior=m, multi=m)
+        s = Structure.from_pairs(30, [(1, 20), (3, 18), (5, 16), (7, 12), (22, 30)])
+        energy = model.loop_energy(loop_census(s))
+        assert m + 4 * m > energy
+        assert oracle._loop_floor(model, 5, False) <= energy
+
+    def test_scoring_stops_early(self, monkeypatch):
+        # the loop floor cuts the scoring phase: without it, folds at
+        # n 36-40 score about 96 structures to return one
+        calls = 0
+        census = oracle._census
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return census(*args)
+
+        monkeypatch.setattr(oracle, "_census", counting)
+        rng = random.Random(2024)
+        for k in range(20):
+            alphabet = "ACGU" if k % 2 else "GGGCCCAU"  # random, GC-rich
+            fold("".join(rng.choice(alphabet) for _ in range(36 + k % 5)))
+        assert calls <= 10 * 20
 
     def test_structure_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_STRUCTURES", 1000)
