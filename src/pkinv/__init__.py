@@ -12,7 +12,6 @@ from .loops import (
     LoopComponent,
     build_intervals,
     decompose_loops,
-    order_loops,
 )
 from .oracle import (
     EnergyModel,

@@ -8,10 +8,10 @@ PKINV_INVERSE_SEED.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
-from dataclasses import dataclass
 
 import click
 
@@ -66,27 +66,26 @@ def _load_model(ctx, param, path: str | None) -> EnergyModel:
         raise click.BadParameter(f"cannot load energy model: {exc}")
 
 
-@dataclass(frozen=True)
-class _TrialSpec:
-    target_text: str
-    seed: int
-    trial: int
-    n_best: int
-    policy: ValidationPolicy
-    model: EnergyModel
-    want_trace: bool
-
-
-def _run_trial(spec: _TrialSpec) -> dict:
-    oracle = ReferenceFoldOracle(spec.policy, spec.model)
-    config = SearchConfig(n_best=spec.n_best, rng_seed=spec.seed)
+def _run_trial(
+    target_text: str,
+    seed: int,
+    n_best: int,
+    policy: ValidationPolicy,
+    model: EnergyModel,
+    want_trace: bool,
+    trial: int,
+) -> dict:
+    """Design trial number trial of a campaign, on seed + trial."""
+    trial_seed = seed + trial
+    oracle = ReferenceFoldOracle(policy, model)
+    config = SearchConfig(n_best=n_best, rng_seed=trial_seed)
     started = time.perf_counter()
     try:
-        result = inverse_fold(spec.target_text, oracle, config)
+        result = inverse_fold(target_text, oracle, config)
         record = {
-            "trial": spec.trial,
-            "seed": spec.seed,
-            "target": spec.target_text,
+            "trial": trial,
+            "seed": trial_seed,
+            "target": target_text,
             "success": True,
             "sequence": result.sequence,
             "oracle_calls": result.oracle_calls,
@@ -94,9 +93,9 @@ def _run_trial(spec: _TrialSpec) -> dict:
         trace = result.trace
     except SearchFailed as failure:
         record = {
-            "trial": spec.trial,
-            "seed": spec.seed,
-            "target": spec.target_text,
+            "trial": trial,
+            "seed": trial_seed,
+            "target": target_text,
             "success": False,
             "sequence": None,
             "oracle_calls": failure.oracle_calls,
@@ -104,7 +103,7 @@ def _run_trial(spec: _TrialSpec) -> dict:
         }
         trace = failure.trace
     record["_elapsed"] = time.perf_counter() - started
-    if spec.want_trace:
+    if want_trace:
         record["_trace"] = trace.to_jsonl()
     return record
 
@@ -132,11 +131,12 @@ def main():
               type=click.Choice(["text", "jsonl", "tsv"]))
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
               help="Parallel trials; output is identical for any value.")
-@click.option("--trace", "trace_path", default=None, type=click.Path(),
+@click.option("--trace", "trace_file", default=None,
+              type=click.File("w", lazy=False),
               help="Write the search trace of each trial as JSON lines.")
 @click.pass_context
 def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
-            model, fmt, jobs, trace_path):
+            model, fmt, jobs, trace_file):
     """Find sequences folding into the target; batch mode prints a report."""
     try:
         target_text = _read_structure_argument(target)
@@ -166,20 +166,17 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
                    f"{MAX_LENGTH}", err=True)
         ctx.exit(EXIT_INVALID)
 
-    specs = [
-        _TrialSpec(target_text, seed + trial, trial, n_best, policy, model,
-                   trace_path is not None)
-        for trial in range(trials)
-    ]
+    run_trial = functools.partial(_run_trial, target_text, seed, n_best, policy,
+                                  model, trace_file is not None)
     started = time.perf_counter()
     if jobs > 1 and trials > 1:
         # imported here: the pool's modules are a fifth of the CLI's start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, trials)) as pool:
-            records = list(pool.map(_run_trial, specs))
+            records = list(pool.map(run_trial, range(trials)))
     else:
-        records = [_run_trial(spec) for spec in specs]
+        records = [run_trial(trial) for trial in range(trials)]
     total_time = time.perf_counter() - started
     records.sort(key=lambda r: r["trial"])
 
@@ -191,13 +188,12 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
                            err=True)
                 ctx.exit(EXIT_INTERNAL)
 
-    if trace_path:
-        with open(trace_path, "w") as handle:
-            for record in records:
-                for line in record.pop("_trace").splitlines():
-                    event = json.loads(line)
-                    event["trial"] = record["trial"]
-                    handle.write(json.dumps(event, sort_keys=True) + "\n")
+    if trace_file is not None:
+        for record in records:
+            for line in record.pop("_trace").splitlines():
+                event = json.loads(line)
+                event["trial"] = record["trial"]
+                trace_file.write(json.dumps(event, sort_keys=True) + "\n")
 
     successes = sum(record["success"] for record in records)
     times = [record.pop("_elapsed") for record in records]

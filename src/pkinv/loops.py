@@ -8,17 +8,16 @@ positions inside a pseudoknot span that no standard loop claims belong to
 the pseudoknot loop.  The same stack-level grouping yields loop_census,
 the per-kind loop counts the energy model scores.
 
-On top of the decomposition this module builds the ordered loop
-components and the growing interval sequence that drives the local
-search: each component contributes its own span, the span padded by
-adjacent unpaired runs, and the running union of everything seen so far.
+From the same stack view this module builds the ordered loop components
+and the growing interval sequence that drives the local search: each
+component contributes its own span, the span padded by adjacent unpaired
+runs, and the running union of everything seen so far.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .structure import Arc, Structure, _relations, _stack_arcs, stacks
 
@@ -70,30 +69,24 @@ class Loop:
 
     @property
     def span(self) -> tuple[int, int]:
-        lo = min(a.i for a in self.arcs)
-        hi = max(a.j for a in self.arcs)
-        if self.intervals:
-            lo = min(lo, self.intervals[0][0])
-            hi = max(hi, self.intervals[-1][1])
-        return lo, hi
+        # arcs are sorted, and the claimed positions lie inside them
+        return self.arcs[0].i, max(a.j for a in self.arcs)
 
 
-@dataclass(frozen=True)
-class LoopComponent:
-    """A loop dressed with its stem arcs, the unit the local search orders.
+class LoopComponent(NamedTuple):
+    """A unit the local search orders, read off the target's stacks.
 
-    Standard loops carry the full stack of their closing arc (the
-    stacked-pair loops of that stack are absorbed here).  A pseudoknot
-    loop is one component; each of its stacks of size at least two also
-    stands alone as a helix component, since its stacked pairs form a
-    ladder worth optimizing on its own.
+    Each stack outside every pseudoknot is one component spanning its
+    outer arc, of the kind of the content loop its innermost arc closes
+    (its stacked pairs travel with it).  A pseudoknot loop is one
+    component spanning its arcs; each of its stacks of size at least two
+    also stands alone as a helix component, since its stacked pairs form
+    a ladder worth optimizing on its own.
     """
 
     kind: str
     span: tuple[int, int]
     padded_span: tuple[int, int]
-    loops: tuple[Loop, ...]
-    arcs: tuple[Arc, ...]
 
 
 @dataclass(frozen=True)
@@ -155,6 +148,22 @@ def _pseudoknot_groups(
     return groups
 
 
+def _closed_loop(below: int, inside: list[int]) -> str:
+    """Kind of the content loop closed by a stack outside every pseudoknot.
+
+    below masks the stacks nested inside it; its children are the
+    nesting-maximal ones.  The lowest stack below has the smallest i, so
+    nothing below encloses it and it is a child; a second child exists
+    exactly when some other stack below lies outside that first one.
+    """
+    if not below:
+        return HAIRPIN
+    first = below & -below
+    if below & ~first & ~inside[first.bit_length() - 1]:
+        return MULTI
+    return INTERIOR
+
+
 def _census(
     chosen: int, sizes: Sequence[int], crossing: list[int], inside: list[int]
 ) -> tuple[int, int, int, int, int]:
@@ -163,10 +172,7 @@ def _census(
     Bits index stacks in ascending outer i; sizes[c] is the size of stack
     c and crossing/inside are as structure._relations builds them.  A
     stack outside every pseudoknot closes size - 1 stacked pairs plus one
-    loop, whose kind follows from its children, the nesting-maximal stacks
-    inside it.  The lowest stack inside has the smallest i, so nothing
-    inside encloses it and it is a child; a second child exists exactly
-    when some other stack inside lies outside that first one.
+    loop of the kind _closed_loop gives.
     """
     groups = _pseudoknot_groups(chosen, crossing, inside)
     hairpins = gapped = stacked = multis = 0
@@ -176,15 +182,13 @@ def _census(
         rest ^= low
         c = low.bit_length() - 1
         stacked += sizes[c] - 1
-        below = inside[c] & chosen
-        if not below:
+        kind = _closed_loop(inside[c] & chosen, inside)
+        if kind == HAIRPIN:
             hairpins += 1
+        elif kind == MULTI:
+            multis += 1
         else:
-            first = below & -below
-            if below & ~first & ~inside[first.bit_length() - 1]:
-                multis += 1
-            else:
-                gapped += 1
+            gapped += 1
     return (hairpins, gapped, stacked, multis, len(groups))
 
 
@@ -295,75 +299,37 @@ def _padded(span: tuple[int, int], s: Structure) -> tuple[int, int]:
     return lo, hi
 
 
-def _component_order(a: LoopComponent, b: LoopComponent) -> int:
-    (al, ar), (bl, br) = a.span, b.span
-    if (al, ar) != (bl, br):
-        if bl <= al and ar <= br:
-            return -1  # a nested in b
-        if al <= bl and br <= ar:
-            return 1
-    if al != bl:
-        return al - bl
-    return ar - br
-
-
-def order_loops(loops: tuple[Loop, ...], s: Structure) -> tuple[LoopComponent, ...]:
-    """Group loops with their stems and put the components in search order.
-
-    Nested components come first; otherwise the one starting further left
-    does.  Stacked-pair loops travel with the content loop closed by the
-    innermost arc of their stack.
-    """
-    stack_by_arc = {arc: st for st in stacks(s) for arc in _stack_arcs(*st)}
-
-    stem_links: dict[tuple[int, int, int], list[Loop]] = {}
-    content: list[Loop] = []
-    pk_loops: list[Loop] = []
-    for loop in loops:
-        if loop.kind == PSEUDOKNOT:
-            pk_loops.append(loop)
-        elif loop.is_stacked_pair:
-            stem_links.setdefault(stack_by_arc[loop.closing_arc], []).append(loop)
-        else:
-            content.append(loop)
-
-    components: list[LoopComponent] = []
-    for loop in content:
-        stem = stack_by_arc[loop.closing_arc]
-        absorbed = tuple(sorted(stem_links.get(stem, []), key=lambda lp: lp.span))
-        span = stem[:2]  # its outer arc (i, j)
-        components.append(
-            LoopComponent(
-                loop.kind, span, _padded(span, s), (*absorbed, loop), _stack_arcs(*stem)
-            )
-        )
-    for loop in pk_loops:
-        span = (loop.arcs[0].i, max(a.j for a in loop.arcs))
-        components.append(
-            LoopComponent(PSEUDOKNOT, span, _padded(span, s), (loop,), loop.arcs)
-        )
-        for i, j, size in sorted({stack_by_arc[a] for a in loop.arcs}):
-            if size >= 2:
-                span = (i, j)
-                components.append(
-                    LoopComponent(
-                        HELIX, span, _padded(span, s), (), _stack_arcs(i, j, size)
-                    )
-                )
-
-    components.sort(key=functools.cmp_to_key(_component_order))
-    return tuple(components)
-
-
 def build_intervals(target: Structure) -> IntervalPlan:
     """Derive the interval ladder the local search walks.
 
-    Each ordered component emits its span, its padded span when the
-    padding added anything, and the running hull of all padded spans;
-    consecutive duplicates are dropped.  The final interval covers [1, n];
-    the empty chain (n = 0) has no interval.
+    The components come from the target's stacks, as LoopComponent
+    describes, in search order: nested components first, otherwise the
+    one starting further left.  No two share a span (stacks have distinct
+    outer arcs, and a pseudoknot's hull is no member's outer arc, since
+    that member would cross no other), and of two spans that do not nest
+    the one starting further left also ends further left, so sorting by
+    (right end, -left end) gives that order.  Each component
+    emits its span, its padded span when the padding added anything, and
+    the running hull of all padded spans; consecutive duplicates are
+    dropped.  The final interval covers [1, n]; the empty chain (n = 0)
+    has no interval.
     """
-    components = order_loops(decompose_loops(target), target)
+    sts = stacks(target)
+    crossing, inside = _relations(target.n, sts)
+    everything = (1 << len(sts)) - 1
+    groups = _pseudoknot_groups(everything, crossing, inside)
+    found = [
+        (_closed_loop(inside[c], inside), sts[c][:2])
+        for c in _members(everything & ~sum(groups))
+    ]
+    for group in groups:
+        members = [sts[c] for c in _members(group)]
+        found.append((PSEUDOKNOT, (members[0][0], max(j for _, j, _ in members))))
+        found += [(HELIX, (i, j)) for i, j, size in members if size >= 2]
+    found.sort(key=lambda kind_span: (kind_span[1][1], -kind_span[1][0]))
+    components = tuple(
+        LoopComponent(kind, span, _padded(span, target)) for kind, span in found
+    )
     emitted: list[tuple[int, int]] = []
 
     def emit(interval: tuple[int, int]) -> None:

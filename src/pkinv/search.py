@@ -329,22 +329,22 @@ def adjust_sequence(
             best_distance = distance
             best_seq = current
         census = competitor_census(current, result, target)
-        attempts: list[tuple[int, int, str]] = []
+        attempts: list[tuple[int, int, MutationOutcome]] = []
         accepted = False
         uphill = False
         for attempt in range(config.mutation_retries):
             outcome = mutate_against_competitors(current, target, census, rng)
             refold = oracle.fold(outcome.sequence, 1)
             attempt_distance = structure_distance(refold.mfe, target)
-            attempts.append((attempt_distance, attempt, outcome.sequence))
+            attempts.append((attempt_distance, attempt, outcome))
             if attempt_distance <= best_distance + config.distance_slack:
                 current = outcome.sequence
                 accepted = True
                 uphill = attempt_distance > best_distance
                 break
         if not accepted:
-            attempts.sort()
-            current = attempts[0][2]
+            outcome = min(attempts)[2]  # the attempt index breaks distance ties
+            current = outcome.sequence
         trace.add(
             TraceRecord(
                 "adjust",

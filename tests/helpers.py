@@ -82,6 +82,33 @@ def random_valid_structure(
     return Structure.from_pairs(n, arcs)
 
 
+def random_matching(rng: Random, n: int) -> Structure:
+    """Random unvalidated structure on n positions, arcs of any length.
+
+    Half the draws pair random positions, crossing freely; the other half
+    place up to 12 stacks of 1-5 arcs on free positions.
+    """
+    if rng.random() < 0.5:
+        free = list(range(1, n + 1))
+        rng.shuffle(free)
+        count = rng.randint(0, n // 2)
+        return Structure.from_pairs(n, [free[2 * t:2 * t + 2] for t in range(count)])
+    pairs: list[tuple[int, int]] = []
+    taken: set[int] = set()
+    for _ in range(rng.randint(0, 12)):
+        size = rng.randint(1, 5)
+        if n < 2 * size:
+            continue
+        i = rng.randint(1, n - 2 * size + 1)
+        j = rng.randint(i + 2 * size - 1, n)
+        new = [(i + t, j - t) for t in range(size)]
+        if any(p in taken or q in taken for p, q in new):
+            continue
+        pairs += new
+        taken.update(p for pair in new for p in pair)
+    return Structure.from_pairs(n, pairs)
+
+
 @lru_cache(maxsize=None)
 def naive_valid_structures(
     n: int, policy: ValidationPolicy = ValidationPolicy()

@@ -141,13 +141,31 @@ class TestInverse:
             "de72efb370933ab0a58d629b211c4cae2e973ca37ef57714275fc033b4e03a7a"
         )
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_trace_path_exits_2_before_any_trial(
+        self, tmp_path, monkeypatch, where
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "_run_trial", no_trial)
+        path = tmp_path / "missing" / "t.jsonl" if where == "missing-dir" else tmp_path
+        result = CliRunner().invoke(
+            main, ["inverse", "--target", "(((....)))", "--trace", str(path)]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Invalid value for '--trace'" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_text_report_p90_is_nearest_rank(self, monkeypatch):
-        def failed_trial(spec):
+        def failed_trial(target_text, seed, n_best, policy, model, want_trace,
+                         trial):
             return {
-                "trial": spec.trial, "seed": spec.seed,
-                "target": spec.target_text, "success": False,
+                "trial": trial, "seed": seed + trial,
+                "target": target_text, "success": False,
                 "sequence": None, "oracle_calls": 0, "reason": "budget spent",
-                "_elapsed": float(spec.trial + 1),
+                "_elapsed": float(trial + 1),
             }
 
         monkeypatch.setattr(cli, "_run_trial", failed_trial)

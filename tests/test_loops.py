@@ -1,5 +1,7 @@
 """Loop decomposition, the nesting order, and the interval ladder."""
 
+import hashlib
+import json
 import random
 
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from pkinv import (
     build_intervals,
     decompose_loops,
     enumerate_structures,
-    order_loops,
     parse_structure,
     stacks,
 )
@@ -21,6 +22,7 @@ from .helpers import (
     ORDERED_COMPONENTS_65,
     PSEUDOKNOT_18,
     TWO_LOOP_10,
+    random_matching,
     random_valid_structure,
 )
 
@@ -228,7 +230,7 @@ class TestOrderAndIntervals:
         s = Structure.from_pairs(
             21, [(1, 10), (2, 9), (3, 8), (12, 21), (13, 20), (14, 19)]
         )
-        comps = order_loops(decompose_loops(s), s)
+        comps = build_intervals(s).components
         assert [c.span for c in comps] == [(1, 10), (12, 21)]
 
     def test_two_loop_ladder(self):
@@ -270,11 +272,44 @@ class TestOrderAndIntervals:
         for lo, hi in plan.intervals:
             assert 1 <= lo <= hi <= s.n
 
-    @settings(max_examples=60, deadline=None)
-    @given(seeds(), st.integers(10, 26))
-    def test_every_loop_lands_in_exactly_one_component(self, seed, n):
-        s = random_valid_structure(random.Random(seed), n)
-        loops = decompose_loops(s)
-        comps = order_loops(loops, s)
-        placed = [lp for c in comps for lp in c.loops]
-        assert sorted(map(id, placed)) == sorted(map(id, loops))
+    @settings(max_examples=100, deadline=None)
+    @given(seeds(), st.integers(0, 60), st.booleans())
+    def test_components_match_the_decomposition(self, seed, n, valid):
+        # every standard loop but a stacked pair sits at the outer arc of
+        # its closing arc's stack; a pseudoknot at its arc hull, with a
+        # helix for each member stack of two or more arcs
+        rng = random.Random(seed)
+        s = random_valid_structure(rng, max(n, 10)) if valid else random_matching(rng, n)
+        stack_of = {
+            Arc(i + t, j - t): (i, j, size)
+            for i, j, size in stacks(s)
+            for t in range(size)
+        }
+        expected = []
+        for loop in decompose_loops(s):
+            if loop.kind == "pseudoknot":
+                hull = (min(a.i for a in loop.arcs), max(a.j for a in loop.arcs))
+                expected.append(("pseudoknot", hull))
+                members = {stack_of[a] for a in loop.arcs}
+                expected += [("helix", (i, j)) for i, j, size in members if size >= 2]
+            elif not loop.is_stacked_pair:
+                expected.append((loop.kind, stack_of[loop.closing_arc][:2]))
+        components = build_intervals(s).components
+        assert sorted((c.kind, c.span) for c in components) == sorted(expected)
+
+    def test_ladders_are_pinned(self):
+        # every valid structure up to n = 16, then unvalidated matchings
+        rng = random.Random(2010)
+        structures = [s for n in range(17) for s in enumerate_structures(n)]
+        structures += [random_matching(rng, rng.randint(0, 60)) for _ in range(2000)]
+        digest = hashlib.sha256()
+        for s in structures:
+            plan = build_intervals(s)
+            digest.update(json.dumps(
+                [[c.kind, c.span, c.padded_span] for c in plan.components]
+                + [plan.intervals]
+            ).encode() + b"\n")
+        assert len(structures) == 2390
+        assert digest.hexdigest() == (
+            "e2da24ddb4f47ed77d15d2c142b4692b9d95f60db756371986791743f8879b4b"
+        )

@@ -1,6 +1,7 @@
 """Perturbations, competitors, mutation rules, and the full search."""
 
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -24,10 +25,11 @@ from pkinv import (
     structure_distance,
 )
 from pkinv.loops import ArcNotInStructure
-from pkinv.oracle import ReferenceFoldOracle, SizeGuard
+from pkinv.oracle import FoldResult, ReferenceFoldOracle, SizeGuard
 from pkinv.search import (
     CompetitorCensus,
     InvalidTarget,
+    MutationOutcome,
     SearchFailed,
     SearchTrace,
     _CountingOracle,
@@ -282,6 +284,39 @@ class TestAdjust:
         rounds = [r for r in trace.records if r.phase == "adjust"]
         assert 1 <= len(rounds) <= 3  # ceil(sqrt(18)/2) = 3
         assert oracle.calls <= 3 * (1 + config.mutation_retries)
+
+    def test_round_without_acceptance_records_the_kept_attempt(self, monkeypatch):
+        # the start folds 2 positions off the target; every attempt lands
+        # beyond the slack (8 or 12 off), and the closest is the second
+        target = parse_structure("((((((....))))))")
+        start, *attempts = ("A" * t + "C" * (16 - t) for t in range(6))
+
+        def missing(arcs):
+            return Structure(16, target.arcs[:6 - arcs])
+
+        folds = {start: missing(1), attempts[1]: missing(4)}
+
+        class ScriptedOracle:
+            def fold(self, seq, n_best):
+                return FoldResult((folds.get(seq, missing(6)),), (0.0,))
+
+        scripted = itertools.cycle(
+            MutationOutcome(seq, tuple(range(t + 1)), (t,))
+            for t, seq in enumerate(attempts)
+        )
+        monkeypatch.setattr(
+            pkinv.search, "mutate_against_competitors", lambda *args: next(scripted)
+        )
+        trace = SearchTrace()
+        out = adjust_sequence(
+            start, target, ScriptedOracle(), SearchConfig(rng_seed=0),
+            random.Random(0), trace,
+        )
+        assert out == start
+        first = trace.records[0]
+        assert (first.distance, first.best_distance) == (2, 2)
+        assert first.mutations == 2 and first.fallback_positions == (1,)
+        assert not first.accepted_uphill
 
 
 class TestLocalSearch:
