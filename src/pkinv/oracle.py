@@ -45,9 +45,9 @@ MAX_LENGTH = 40
 # Structures one fold or enumeration may visit: above the 161k valid
 # structures of length 28, below what exhausts memory.
 MAX_STRUCTURES = 250_000
-# Fold results one ReferenceFoldOracle keeps, least recently used out
-# first: a design asks for about 16 distinct folds, and its repeats fall
-# within the last 256.
+# Sequences whose fold one ReferenceFoldOracle keeps, least recently used
+# out first, each at the largest n_best asked of it: a design folds about
+# 16 distinct sequences, and its repeats fall within the last 256.
 MAX_MEMO_ENTRIES = 4096
 
 # loop penalties, in the order of the loop_census counts they weigh
@@ -227,7 +227,7 @@ def _stack_sets(
     policy: ValidationPolicy,
     candidates: list[tuple[int, int, int]],
     scores: list[tuple[float, ...]],
-) -> tuple[list[float], list[int], list[int], list[int]]:
+) -> tuple[list[float], list[int], list[int], list[int], list[int]]:
     """Every valid structure built from the candidate stacks, each exactly once.
 
     A structure is a bit mask over candidates, which are sorted by (i, j,
@@ -425,6 +425,12 @@ def fold(
 class ReferenceFoldOracle:
     """Exhaustive folding oracle with a per-instance LRU memo.
 
+    The memo holds one entry per sequence, (n_best, result), and answers
+    any n_best up to the stored one by slicing: fold's list is the first
+    n_best structures of one total order, (energy, arcs), so the first k
+    of a longer list are fold's k-list.  A larger n_best folds again and
+    replaces the entry.
+
     Duck-typed contract for any substitute: a ``policy`` attribute and a
     ``fold(seq, n_best=1) -> FoldResult`` method that is deterministic
     and safe to call from concurrent searches.
@@ -437,15 +443,17 @@ class ReferenceFoldOracle:
     ):
         self.policy = policy or ValidationPolicy()
         self.model = model
-        self._cache: OrderedDict[tuple[str, int], FoldResult] = OrderedDict()
+        self._cache: OrderedDict[str, tuple[int, FoldResult]] = OrderedDict()
 
     def fold(self, seq: str, n_best: int = 1) -> FoldResult:
-        key = (seq, n_best)
+        stored, result = self._cache.get(seq, (0, None))
+        if not 0 < n_best <= stored:  # fold refuses an n_best below 1
+            stored, result = n_best, fold(seq, n_best, self.policy, self.model)
         # pop with a default, never del: a concurrent caller may have evicted it
-        result = self._cache.pop(key, None)
-        if result is None:
-            result = fold(seq, n_best, self.policy, self.model)
-        self._cache[key] = result
+        self._cache.pop(seq, None)
+        self._cache[seq] = stored, result
         if len(self._cache) > MAX_MEMO_ENTRIES:
             self._cache.popitem(last=False)
+        if n_best < stored:
+            return FoldResult(result.structures[:n_best], result.energies[:n_best])
         return result

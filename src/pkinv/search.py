@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import ClassVar, NamedTuple
 
-from .loops import ArcNotInStructure, IntervalPlan, build_intervals
+from .loops import ArcNotInStructure, IntervalPlan, _members, build_intervals
 from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard, _pair_masks
 from .sequences import BASES, PAIRS, can_pair, random_compatible_sequence
 from .structure import (
@@ -28,6 +28,10 @@ from .structure import (
     structure_distance,
     validate_target,
 )
+
+
+# per base x, the bases y that x pairs with as the ordered pair (x, y)
+_PARTNERS = {x: frozenset(y for y in BASES if can_pair(x, y)) for x in BASES}
 
 
 class InvalidTarget(ValueError):
@@ -209,11 +213,13 @@ def competitor_census(
     S's whole partner vector counts.  A perturbation at arc (i0, j0)
     differs from S only at its touched ends: deletion leaves 0 at i0 and
     j0, and a shift to (i, j) pairs i with j when it stays in range with
-    i < j, lands on ends free in S minus the arc, and can pair.
-    Deduplication is not needed, nor is dropping the target: its entries
-    are the target partners, which mutation ignores.  The partners of a
-    position are read column-wise off the partner vectors, and shifts are
-    tested against the sequence's pair masks.
+    i < j, lands on ends free in S minus the arc, and can pair.  Those
+    shifts depend only on the arc and on whether S pairs i0 +- 1 and
+    j0 +- 1, so each such neighbourhood is examined once per call.  The
+    target need not be dropped: its entries are the target partners,
+    which mutation ignores.  The partners of a position are read
+    column-wise off the partner vectors, and shifts are tested against
+    the sequence's pair masks.
     """
     pairs = _pair_masks(seq)  # bit j of pairs[i]: i and j can pair
     structures = [s for s in fold_result.structures if s.arcs]
@@ -221,23 +227,32 @@ def competitor_census(
     seen = [set(column) for column in zip(*(s.partner for s in structures))]
     if not seen:
         seen = [set() for _ in range(target.n + 1)]
+    deleted = 0  # ends of some arc, which its deletion leaves unpaired
+    examined = set()
     for s in structures:
         paired = 0
         for i0, j0 in s.arcs:
             paired |= 1 << i0 | 1 << j0
+        deleted |= paired
         for i0, j0 in s.arcs:
-            seen[i0].add(0)
-            seen[j0].add(0)
+            key = (i0, j0, paired >> (i0 - 1) & 5, paired >> (j0 - 1) & 5)
+            if key in examined:
+                continue
+            examined.add(key)
             free = ~paired | 1 << i0 | 1 << j0
             for i in (i0 - 1, i0, i0 + 1):
                 if not free >> i & 1:
                     continue
                 ends = pairs[i] & free
+                if i == i0:  # the unshifted arc is in S's partner column
+                    ends &= ~(1 << j0)
                 for j in (j0 - 1, j0, j0 + 1):
                     if ends >> j & 1 and i < j:
                         seen[i].add(j)
                         seen[j].add(i)
-    flagged = [any(p != t for p in ps) for ps, t in zip(seen, target.partner)]
+    for w in _members(deleted):
+        seen[w].add(0)
+    flagged = [len(ps) > (t in ps) for ps, t in zip(seen, target.partner)]
     for ps in seen:
         ps.discard(0)
     return CompetitorCensus(flagged, seen)
@@ -265,11 +280,11 @@ def mutate_against_competitors(
             if not flagged[w]:
                 continue
             old = seq[w - 1]
+            rival_bases = {seq[u - 1] for u in rivals[w]}
             options = [
                 b
                 for b in BASES
-                if b != old
-                and all(not can_pair(b, seq[u - 1]) for u in rivals[w])
+                if b != old and _PARTNERS[b].isdisjoint(rival_bases)
             ]
             if options:
                 new[w - 1] = rng.choice(options)
@@ -281,11 +296,11 @@ def mutate_against_competitors(
             if not (flagged[w] or flagged[v]):
                 continue
             old_pair = seq[w - 1] + seq[v - 1]
+            rival_bases = {seq[u - 1] for u in rivals[w] if u != v}
             options = [
                 p
                 for p in PAIRS
-                if p != old_pair
-                and all(u == v or not can_pair(p[0], seq[u - 1]) for u in rivals[w])
+                if p != old_pair and _PARTNERS[p[0]].isdisjoint(rival_bases)
             ]
             if options:
                 pair = rng.choice(options)

@@ -12,6 +12,7 @@ stacks.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -353,7 +354,8 @@ def structure_distance(s1: Structure, s2: Structure) -> int:
     """
     if s1.n != s2.n:
         raise LengthMismatch(f"structure lengths differ: {s1.n} != {s2.n}")
-    return sum(a != b for a, b in zip(s1.partner[1:], s2.partner[1:]))
+    # index 0 is 0 in both vectors
+    return sum(map(operator.ne, s1.partner, s2.partner))
 
 
 def restrict_structure(s: Structure, lo: int, hi: int) -> Structure:

@@ -19,6 +19,8 @@ from pkinv import (
     validate_target,
 )
 from pkinv.oracle import EnergyModel
+from pkinv.search import CompetitorCensus, MutationOutcome
+from pkinv.sequences import BASES, PAIRS, can_pair
 
 # A crossing two-stack structure used all over the suite.
 PSEUDOKNOT_18 = "(((..[[[..)))..]]]"
@@ -152,3 +154,53 @@ def naive_min_energy(
         if s.arcs and is_compatible(seq, s):
             best = min(best, energy_of(seq, s, model))
     return best
+
+
+def reference_mutate_against_competitors(
+    seq: str, target: Structure, census: CompetitorCensus, rng: Random
+) -> MutationOutcome:
+    """mutate_against_competitors as a can_pair test per rival position.
+
+    The package filters by the set of rival bases instead; both must draw
+    the same options in the same order, and so the same rng values.
+    """
+    flagged, rivals = census
+    new = list(seq)
+    mutated: list[int] = []
+    fallbacks: list[int] = []
+    for w in range(1, target.n + 1):
+        v = target.partner[w]
+        if v == 0:
+            if not flagged[w]:
+                continue
+            old = seq[w - 1]
+            options = [
+                b
+                for b in BASES
+                if b != old
+                and all(not can_pair(b, seq[u - 1]) for u in rivals[w])
+            ]
+            if options:
+                new[w - 1] = rng.choice(options)
+            else:
+                new[w - 1] = rng.choice([b for b in BASES if b != old])
+                fallbacks.append(w)
+            mutated.append(w)
+        elif v > w:
+            if not (flagged[w] or flagged[v]):
+                continue
+            old_pair = seq[w - 1] + seq[v - 1]
+            options = [
+                p
+                for p in PAIRS
+                if p != old_pair
+                and all(u == v or not can_pair(p[0], seq[u - 1]) for u in rivals[w])
+            ]
+            if options:
+                pair = rng.choice(options)
+            else:
+                pair = rng.choice([p for p in PAIRS if p != old_pair])
+                fallbacks.append(w)
+            new[w - 1], new[v - 1] = pair[0], pair[1]
+            mutated.append(w)
+    return MutationOutcome("".join(new), tuple(mutated), tuple(fallbacks))

@@ -399,10 +399,50 @@ class TestOracleObject:
             assert memo.fold(seqs[0], 3) is kept  # a hit keeps its entry fresh
             memo.fold(seq, 3)
             assert len(memo._cache) <= 4
-        assert (seqs[1], 3) not in memo._cache
+        assert seqs[1] not in memo._cache
+        assert list(memo._cache) == [seqs[7], seqs[8], seqs[0], seqs[9]]
         for seq in seqs:
             assert memo.fold(seq, 3) == fold(seq, 3)
         assert len(memo._cache) == 4
+
+    def test_memo_answers_smaller_n_best_without_folding(self, monkeypatch):
+        rng = random.Random(12)
+        # short sequences pair fewer than 50 structures, long ones more
+        seqs = [random_sequence(rng, n) for n in (12, 18, 26, 30) for _ in range(3)]
+        expected = {(seq, k): fold(seq, k) for seq in seqs for k in range(1, 51)}
+        assert any(len(expected[seq, 50].structures) < 50 for seq in seqs)
+        assert any(len(expected[seq, 50].structures) == 50 for seq in seqs)
+        memo = ReferenceFoldOracle()
+        for seq in seqs:
+            memo.fold(seq, 50)
+        calls = []
+        real_fold = oracle.fold
+        monkeypatch.setattr(oracle, "fold",
+                            lambda *args: calls.append(args) or real_fold(*args))
+        for seq in seqs:
+            for k in range(50, 0, -1):
+                assert memo.fold(seq, k) == expected[seq, k]
+        assert calls == []
+        assert {stored for stored, _ in memo._cache.values()} == {50}
+        with pytest.raises(ValueError, match="n_best"):  # a stored entry is no answer
+            memo.fold(seqs[0], 0)
+        assert memo._cache[seqs[0]][0] == 50
+
+    def test_memo_refolds_a_larger_n_best(self, monkeypatch):
+        seq = "GGGCCCAAAGGGCCCAAAGGGCCC"  # 38 structures
+        memo = ReferenceFoldOracle()
+        memo.fold(seq, 2)
+        calls = []
+        real_fold = oracle.fold
+        monkeypatch.setattr(oracle, "fold",
+                            lambda *args: calls.append(args[:2]) or real_fold(*args))
+        result = memo.fold(seq, 7)
+        assert calls == [(seq, 7)]
+        assert result == real_fold(seq, 7)
+        assert len(result.structures) == 7
+        assert memo._cache[seq] == (7, result)
+        assert memo.fold(seq, 2) == real_fold(seq, 2)
+        assert calls == [(seq, 7)]
 
     def test_memo_is_safe_under_concurrent_callers(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 8)

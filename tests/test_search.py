@@ -1,5 +1,6 @@
 """Perturbations, competitors, mutation rules, and the full search."""
 
+import hashlib
 import importlib.util
 import itertools
 import random
@@ -38,10 +39,24 @@ from pkinv.search import (
 )
 from pkinv.sequences import can_pair, is_compatible, random_compatible_sequence
 
-from .helpers import PSEUDOKNOT_18, random_sequence, random_valid_structure
+from .helpers import (
+    PSEUDOKNOT_18,
+    random_sequence,
+    random_valid_structure,
+    reference_mutate_against_competitors,
+)
 
 HAIRPIN_TEXT = "(((....)))"
 HAIRPIN = parse_structure(HAIRPIN_TEXT)
+# Short campaign targets, two of them pseudoknots.
+SHARED_ORACLE_TARGETS = (
+    "(((....)))",
+    "::(((:::)))::::",
+    "(((::[[[[)))]]]]",
+    "::::::((((::::))))::",
+    "(((::[[[::)))::]]]",
+    "::(((::[[[::)))::]]]::",
+)
 
 
 def oracle_perturbations(s: Structure, arc: Arc) -> set:
@@ -251,6 +266,32 @@ class TestMutation:
         )
         assert is_compatible(out.sequence, competitor)
 
+    def test_equals_the_can_pair_reference(self):
+        rng = random.Random(31)
+        oracle = ReferenceFoldOracle()
+        fallbacks = plain = 0
+        for case in range(600):
+            target = random_valid_structure(rng, rng.randint(10, 22))
+            seq = random_compatible_sequence(target, rng)
+            if case % 2:
+                census = competitor_census(seq, oracle.fold(seq, 50), target)
+            else:  # dense made-up rivals, which often leave no option
+                n = target.n
+                census = CompetitorCensus(
+                    [rng.random() < 0.5 for _ in range(n + 1)],
+                    [set(rng.sample(range(1, n + 1), rng.randint(0, 6)))
+                     for _ in range(n + 1)],
+                )
+            seed = rng.getrandbits(32)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            out = mutate_against_competitors(seq, target, census, ours)
+            expected = reference_mutate_against_competitors(seq, target, census, theirs)
+            assert out == expected
+            assert ours.getstate() == theirs.getstate()
+            fallbacks += len(out.fallback_positions)
+            plain += len(out.mutated_positions) - len(out.fallback_positions)
+        assert fallbacks > 100 and plain > 1000
+
 
 class TestSearchConfig:
     def test_n_best_must_be_positive(self):
@@ -424,6 +465,23 @@ class TestInverseFold:
         assert first.sequence == second.sequence
         assert first.trace.records == second.trace.records
         assert first.oracle_calls == second.oracle_calls
+
+    def test_designs_with_a_shared_oracle_are_pinned(self):
+        # one oracle serves every trial, so later trials read memo entries
+        # that earlier trials stored, at n_best 50 and 1
+        oracle = ReferenceFoldOracle()
+        lines = []
+        for text in SHARED_ORACLE_TARGETS:
+            for seed in range(8):
+                try:
+                    result = inverse_fold(text, oracle, SearchConfig(rng_seed=seed))
+                    lines.append(repr((result.sequence, result.oracle_calls)))
+                except SearchFailed as failure:
+                    lines.append(repr((None, failure.oracle_calls)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "fc47dbe11bb2f9354ba38ece4c62e1810a534855e6cb1e57a964290191b5f2ff"
+        )
 
     def test_trace_serializes_as_json_lines(self):
         import json
