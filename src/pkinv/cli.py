@@ -1,9 +1,10 @@
 """Command-line front end: design runs, batch campaigns, and utilities.
 
 Exit codes: 0 success, 1 search failure, 2 invalid input, 70 internal
-error (a reported success failed re-verification).  Every option can also
-be set through environment variables with the PKINV_ prefix, for example
-PKINV_INVERSE_SEED.
+error (a trial raised an unexpected exception, a trial worker ended
+without its records, or a reported success failed re-verification).
+Every option can also be set through environment variables with the
+PKINV_ prefix, for example PKINV_INVERSE_SEED.
 """
 
 from __future__ import annotations
@@ -108,6 +109,87 @@ def _run_trial(
     return record
 
 
+class CampaignError(RuntimeError):
+    """A campaign ended without its records; the message says why."""
+
+
+def _run_stripe(run_trial, trials: int, first: int, step: int) -> dict:
+    """Records of trials first, first + step, ... below trials, or, at the
+    first trial that raises, the records so far and what it raised."""
+    records = []
+    for trial in range(first, trials, step):
+        try:
+            records.append(run_trial(trial))
+        except Exception as exc:  # reported by the CLI as an internal error
+            return {"records": records,
+                    "failed": [trial, f"{type(exc).__name__}: {exc}"]}
+    return {"records": records, "failed": None}
+
+
+def _send_stripe(write_fd: int, run_trial, trials: int, worker: int,
+                 workers: int) -> None:
+    """Body of a forked worker: write its stripe as one JSON payload at the
+    end, then leave through os._exit, so it never returns to the caller and
+    never flushes the stdout buffer it inherited."""
+    status = 1
+    try:
+        with os.fdopen(write_fd, "w") as pipe:
+            json.dump(_run_stripe(run_trial, trials, worker, workers), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _campaign_records(run_trial, trials: int, workers: int) -> list[dict]:
+    """Records of trials 0 .. trials - 1 in trial order, from workers processes.
+
+    This process is worker 0 and runs trials 0, W, 2W, ...; each other
+    stripe runs in a child made by os.fork (workers must be 1 where that
+    does not exist), which sends its records through a pipe only once its
+    stripe is done, so a full pipe cannot stall its trials.  Records are
+    plain JSON types, and a float survives the round trip exactly.  Every
+    pipe is closed and every child reaped before this returns or raises.
+    CampaignError names the lowest trial that raised, or a worker that
+    ended without sending its records.
+    """
+    pipes, pids, stripes = [], [], []  # pids: children not yet reaped
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_stripe(write_fd, run_trial, trials, worker, workers)
+            finally:
+                os.close(write_fd)  # only the parent gets here
+            pids.append(pid)
+        stripes.append(_run_stripe(run_trial, trials, 0, workers))
+        for worker, pipe in enumerate(pipes, 1):
+            payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if code != 0:
+                raise CampaignError(f"trial worker {worker} exited with status "
+                                    f"{code} without its records")
+            stripes.append(json.loads(payload))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:  # only when this raises; signal costs 1 ms of start-up
+            from signal import SIGKILL
+
+            for pid in pids:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    failures = [stripe["failed"] for stripe in stripes if stripe["failed"]]
+    if failures:
+        trial, why = min(failures)
+        raise CampaignError(f"trial {trial}: {why}")
+    return sorted((record for stripe in stripes for record in stripe["records"]),
+                  key=lambda record: record["trial"])
+
+
 @click.group(context_settings={"auto_envvar_prefix": "PKINV"})
 @click.version_option(package_name="pkinv")
 def main():
@@ -130,7 +212,9 @@ def main():
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["text", "jsonl", "tsv"]))
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
-              help="Parallel trials; output is identical for any value.")
+              help="Worker processes for the trials, at most one per trial and "
+                   "per CPU (forked; 1 where os.fork is missing). Output is "
+                   "identical for any value.")
 @click.option("--trace", "trace_file", default=None,
               type=click.File("w", lazy=False),
               help="Write the search trace of each trial as JSON lines.")
@@ -168,17 +252,17 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
 
     run_trial = functools.partial(_run_trial, target_text, seed, n_best, policy,
                                   model, trace_file is not None)
+    # at most one worker per trial and per CPU; without os.fork, this one
+    workers = 1
+    if hasattr(os, "fork"):
+        workers = max(1, min(jobs, trials, os.cpu_count() or 1))
     started = time.perf_counter()
-    if jobs > 1 and trials > 1:
-        # imported here: the pool's modules are a fifth of the CLI's start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, trials)) as pool:
-            records = list(pool.map(run_trial, range(trials)))
-    else:
-        records = [run_trial(trial) for trial in range(trials)]
+    try:
+        records = _campaign_records(run_trial, trials, workers)
+    except (CampaignError, OSError) as exc:  # OSError: no pipe or fork
+        click.echo(f"internal error: {exc}", err=True)
+        ctx.exit(EXIT_INTERNAL)
     total_time = time.perf_counter() - started
-    records.sort(key=lambda r: r["trial"])
 
     for record in records:
         if record["success"]:

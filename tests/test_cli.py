@@ -55,21 +55,149 @@ class TestInverse:
             assert record["target"] == PSEUDOKNOT_18
             assert isinstance(record["seed"], int)
 
-    def test_jobs_do_not_change_output(self):
-        args = ["inverse", "--target", "(((....)))", "--trials", "4",
+    def test_jobs_do_not_change_output(self, tmp_path, monkeypatch):
+        # 5 trials over 2 or 3 workers: stripes of unequal length, and
+        # trial 1, run by worker 1, fails with a reason
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        args = ["inverse", "--target", "(((..[[[..)))..]]]", "--trials", "5",
                 "--seed", "2", "--format", "jsonl"]
-        serial = run(*args, "--jobs", "1")
-        for jobs in ("2", "8"):  # 8 jobs start one worker per trial
-            assert run(*args, "--jobs", jobs).output == serial.output
+        serial_trace = tmp_path / "trace1.jsonl"
+        serial = run(*args, "--jobs", "1", "--trace", str(serial_trace))
+        assert serial.exit_code == 1
+        assert '"reason"' in serial.output.splitlines()[1]
+        for jobs in ("2", "3"):
+            trace = tmp_path / f"trace{jobs}.jsonl"
+            result = run(*args, "--jobs", jobs, "--trace", str(trace))
+            assert (result.exit_code, result.output) == (1, serial.output)
+            assert trace.read_bytes() == serial_trace.read_bytes()
 
     def test_import_leaves_the_process_pool_out(self):
-        # only a campaign with jobs and trials above 1 pays for the pool
-        code = ("import sys, pkinv.cli; print(sorted(sys.modules.keys()"
+        # the forked workers need no pool, neither to import nor to run
+        code = ("import sys\n"
+                "from click.testing import CliRunner\n"
+                "import pkinv.cli\n"
+                "loaded = sys.modules.keys()"
+                " & {'concurrent.futures.process', 'multiprocessing'}\n"
+                "result = CliRunner().invoke(pkinv.cli.main, ['inverse',"
+                " '--target', '(((....)))', '--jobs', '2', '--trials', '3'])\n"
+                "assert result.exit_code == 0, result.output\n"
+                "print(sorted(loaded), sorted(sys.modules.keys()"
                 " & {'concurrent.futures.process', 'multiprocessing'}))")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.strip() == "[] []"
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trial_exception_exits_70_and_reaps_workers(
+        self, monkeypatch, failing, jobs
+    ):
+        # trial 0 runs in this process, trial 1 in a forked worker at --jobs 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_trial = cli._run_trial
+
+        def faulty(*args):
+            if args[-1] == failing:
+                raise KeyError("no such loop")
+            return run_trial(*args)
+
+        monkeypatch.setattr(cli, "_run_trial", faulty)
+        result = CliRunner().invoke(main, ["inverse", "--target", "(((....)))",
+                                           "--jobs", jobs, "--trials", "2"])
+        assert result.exit_code == 70
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"internal error: trial {failing}: KeyError: 'no such loop'\n"
+        )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_lowest_failing_trial_is_reported(self, monkeypatch):
+        # this process fails at trial 2, the forked worker at trial 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_trial = cli._run_trial
+
+        def faulty(*args):
+            if args[-1] >= 1:
+                raise ValueError(f"bad {args[-1]}")
+            return run_trial(*args)
+
+        monkeypatch.setattr(cli, "_run_trial", faulty)
+        result = CliRunner().invoke(main, ["inverse", "--target", "(((....)))",
+                                           "--jobs", "2", "--trials", "4"])
+        assert result.exit_code == 70
+        assert result.stderr == "internal error: trial 1: ValueError: bad 1\n"
+
+    def test_worker_that_dies_exits_70(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_trial = cli._run_trial
+
+        def dying(*args):
+            if args[-1] == 1:
+                os._exit(3)
+            return run_trial(*args)
+
+        monkeypatch.setattr(cli, "_run_trial", dying)
+        result = CliRunner().invoke(main, ["inverse", "--target", "(((....)))",
+                                           "--jobs", "2", "--trials", "2"])
+        assert result.exit_code == 70
+        assert result.stderr == (
+            "internal error: trial worker 1 exited with status 3 without its "
+            "records\n"
+        )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_exits_70_and_reaps_workers(self, monkeypatch):
+        real_fork, calls = os.fork, []
+
+        def second_fork_fails():
+            calls.append(1)
+            if len(calls) > 1:
+                raise OSError("no process left")
+            return real_fork()
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        result = CliRunner().invoke(main, ["inverse", "--target", "(((....)))",
+                                           "--jobs", "3", "--trials", "3"])
+        assert result.exit_code == 70
+        assert result.stderr == "internal error: no process left\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "jobs, trials, cpus, forks",
+        [("1000", "5", 2, 1), ("3", "2", 8, 1), ("4", "9", 8, 3),
+         ("8", "3", None, 0), ("2", "1", 8, 0), ("2", "0", 8, 0)],
+    )
+    def test_worker_count_is_bounded(self, monkeypatch, jobs, trials, cpus, forks):
+        # a fork past the expected count raises instead of forking
+        real_fork, calls = os.fork, []
+
+        def counting_fork():
+            calls.append(1)
+            if len(calls) > forks:
+                raise OSError("one fork too many")
+            return real_fork()
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        result = run("inverse", "--target", "(((....)))", "--jobs", jobs,
+                     "--trials", trials, "--format", "jsonl")
+        assert result.exit_code == 0, result.output
+        assert len(calls) == forks
+        assert len(result.output.splitlines()) == int(trials) + 1
+
+    def test_without_fork_the_campaign_runs_in_this_process(self, monkeypatch):
+        serial = run("inverse", "--target", "(((....)))", "--trials", "3",
+                     "--format", "jsonl")
+        monkeypatch.delattr(os, "fork")
+        result = run("inverse", "--target", "(((....)))", "--trials", "3",
+                     "--jobs", "3", "--format", "jsonl")
+        assert result.exit_code == 0
+        assert result.output == serial.output
 
     def test_target_from_file(self, tmp_path):
         path = tmp_path / "t.txt"
