@@ -29,12 +29,10 @@ from .search import (
     SearchFailed,
     SearchTrace,
     adjust_sequence,
-    build_competitors,
     competitor_census,
     inverse_fold,
     local_search,
     mutate_against_competitors,
-    perturb_arc,
 )
 from .sequences import (
     PAIRS,

@@ -10,8 +10,8 @@ base pair plus nonnegative penalties per loop.  The defaults reward long
 stacks and make pseudoknots pay for their crossings; all values can be
 overridden programmatically or from a key=value config file.
 
-Enumeration is exact and exponential: it is guarded at MAX_LENGTH bases
-and capped at MAX_STRUCTURES structures per call.  fold scores the
+Enumeration is exact and exponential: it is capped at MAX_CANDIDATES
+candidate stacks and MAX_STRUCTURES structures per call.  fold scores the
 enumerated structures lazily, in ascending order of a lower bound: the
 pair-score sum plus a loop floor (_loop_floor) that counts the loops a
 structure's stacks must close.  A stack outside every pseudoknot closes
@@ -41,9 +41,15 @@ from .structure import (
     _stack_arcs,
 )
 
-MAX_LENGTH = 40
+# Candidate stacks one fold or enumeration may list: above the 825 of the
+# full enumeration at length 28 and the 650 of the widest fold of 40 or
+# fewer bases that completed in a seeded scan.  Each structure mask is
+# that many bits wide, and the crossing and clash masks hold its square,
+# at most 1 Mbit.
+MAX_CANDIDATES = 1024
 # Structures one fold or enumeration may visit: above the 161k valid
-# structures of length 28, below what exhausts memory.
+# structures of length 28.  With MAX_CANDIDATES it bounds the rows at
+# about 250k x (100 B + 1024 / 8 B), or 57 MB.
 MAX_STRUCTURES = 250_000
 # Sequences whose fold one ReferenceFoldOracle keeps, least recently used
 # out first, each at the largest n_best asked of it: a design folds about
@@ -70,7 +76,7 @@ _DROP_BASES = str.maketrans("", "", BASES)
 
 
 class SizeGuard(ValueError):
-    """Refused to enumerate past the length guard or the structure cap."""
+    """Refused to enumerate past the candidate-stack cap or the structure cap."""
 
 
 @dataclass(frozen=True)
@@ -170,11 +176,6 @@ def energy_of(
     return total + model.loop_energy(loop_census(s))
 
 
-def _guard(n: int) -> None:
-    if n > MAX_LENGTH:
-        raise SizeGuard(f"length {n} exceeds the enumeration guard {MAX_LENGTH}")
-
-
 def _pair_masks(seq: str) -> list[int]:
     """masks[p]: bit q set when position q can pair with position p (1-based)."""
     if seq.translate(_DROP_BASES):
@@ -198,8 +199,10 @@ def _candidate_stacks(
 
     Bit q of masks[p] says that positions p and q can pair (1-based).  Each
     stack's innermost arc keeps the minimum arc length (never below 2, the
-    adjacent-pair bound).  The list is sorted by (i, j, size).
+    adjacent-pair bound).  The list is sorted by (i, j, size).  SizeGuard
+    refuses more than MAX_CANDIDATES stacks before any is built on.
     """
+    cap = MAX_CANDIDATES
     lmin = max(policy.min_arc_length, 2)
     out = []
     for i in range(1, len(masks)):
@@ -216,6 +219,11 @@ def _candidate_stacks(
                     low = ends & -ends
                     out.append((i, low.bit_length() - 1, size))
                     ends ^= low
+                if len(out) > cap:
+                    raise SizeGuard(
+                        f"more than {cap} candidate stacks at length "
+                        f"{len(masks) - 1}; the cap bounds the width of "
+                        f"every structure mask")
             run &= masks[i + size] << size
             size += 1
     out.sort()
@@ -311,7 +319,6 @@ def enumerate_structures(
     """Yield every valid structure of length n exactly once, in sorted order."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    _guard(n)
     policy = policy or ValidationPolicy()
     candidates = _candidate_stacks(policy, [(1 << (n + 1)) - 2] * (n + 1))
     _, sets, _, _, _ = _stack_sets(n, policy, candidates, [()] * len(candidates))
@@ -381,7 +388,6 @@ def fold(
         raise ValueError("n_best must be at least 1")
     policy = policy or ValidationPolicy()
     n = len(seq)
-    _guard(n)
     candidates = _candidate_stacks(policy, _pair_masks(seq))
     pair = dict(model.pair_scores)
     scores = [  # tuple(list) builds short tuples faster than tuple(generator)

@@ -10,9 +10,8 @@ sequence re-folds to the target arc for arc.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from random import Random
 from typing import ClassVar, NamedTuple
 
@@ -107,9 +106,6 @@ class SearchTrace:
 
     def add(self, record: TraceRecord) -> None:
         self.records.append(record)
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(asdict(r)) for r in self.records)
 
 
 class CompetitorCensus(NamedTuple):
@@ -508,11 +504,12 @@ def inverse_fold(
 
     Raises InvalidTarget when the target fails the oracle's validation
     policy and SearchFailed when the budgets run out.  When the oracle
-    refuses a fold with SizeGuard (the length guard or the structure
-    cap), the trial fails too: SearchFailed carries the refusal's text
-    in its message and the SizeGuard as its __cause__.  A returned
-    result always re-folds to the target arc for arc.  RuntimeError
-    marks an internal fault: more oracle calls than the budgets allow.
+    refuses a fold with SizeGuard (the candidate-stack cap or the
+    structure cap), the trial fails too: SearchFailed carries the
+    refusal's text in its message and the SizeGuard as its __cause__.
+    A returned result always re-folds to the target arc for arc.
+    RuntimeError marks an internal fault: more oracle calls than the
+    budgets allow.
     """
     oracle = oracle or ReferenceFoldOracle()
     config = config or SearchConfig()

@@ -44,6 +44,10 @@ ORDERED_COMPONENTS_65 = Structure.from_pairs(
 # Hairpin nested in a two-arc pseudoknot; drives the interval ladder.
 TWO_LOOP_10 = Structure.from_pairs(10, [(2, 8), (3, 5), (7, 9)])
 
+# Seven stacks whose crossings form an odd cycle, so no two bracket
+# families can write it: a 3-noncrossing target that needs a third.
+SEVEN_CYCLE_42 = "(((((([[[[[[)))(((]]][[[))){{{]]])))}}}]]]"
+
 
 def random_sequence(rng: Random, n: int) -> str:
     return "".join(rng.choice("ACGU") for _ in range(n))
@@ -140,6 +144,31 @@ def naive_valid_structures(
 
     extend(1)
     return tuple(results)
+
+
+def crossing_graph_is_bipartite(s: Structure) -> bool:
+    """Whether two colours can tell crossing stacks of s apart, that is,
+    whether two bracket families can write s.  Stacks are found from the
+    arcs alone: a stack's outermost arc has no arc right around it."""
+    arcs = set(map(tuple, s.arcs))
+    outer = [(i, j) for i, j in sorted(arcs) if (i - 1, j + 1) not in arcs]
+    colour: dict[tuple[int, int], int] = {}
+    for first in outer:
+        if first in colour:
+            continue
+        colour[first] = 0
+        todo = [first]
+        while todo:
+            a, b = todo.pop()
+            for c, d in outer:
+                if not (a < c < b < d or c < a < d < b):
+                    continue
+                if (c, d) not in colour:
+                    colour[c, d] = 1 - colour[a, b]
+                    todo.append((c, d))
+                elif colour[c, d] == colour[a, b]:
+                    return False
+    return True
 
 
 def naive_min_energy(

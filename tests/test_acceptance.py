@@ -21,14 +21,13 @@ from pkinv import (
     fold,
     inverse_fold,
     parse_structure,
-    perturb_arc,
     random_compatible_sequence,
     serialize_structure,
     structure_distance,
 )
 from pkinv.cli import main as cli_main
 from pkinv.oracle import ReferenceFoldOracle
-from pkinv.search import SearchFailed, build_competitors
+from pkinv.search import SearchFailed, build_competitors, perturb_arc
 from pkinv.sequences import is_compatible
 
 from .helpers import (

@@ -339,11 +339,23 @@ class TestInverse:
         assert record["success"] is False and record["target"] == target
         assert "refused" in record["reason"]
 
-    def test_target_past_length_guard_exits_2(self):
-        result = run("inverse", "--target", "(((" + ":" * 35 + ")))")
-        assert result.exit_code == 2
+    def test_target_past_40_designs(self):
+        target = "(((" + ":" * 35 + ")))"
+        result = run("inverse", "--target", target, "--seed", "9",
+                     "--format", "jsonl")
+        assert result.exit_code == 0
+        record = json.loads(result.output.splitlines()[0])
+        assert record["success"] is True and len(record["sequence"]) == 41
+
+    def test_candidate_cap_fails_the_trial(self, monkeypatch):
+        # a cost refusal is a failed trial, not an invalid input
+        monkeypatch.setattr(oracle, "MAX_CANDIDATES", 0)
+        result = run("inverse", "--target", "(((....)))", "--format", "jsonl")
+        assert result.exit_code == 1
         assert "Traceback" not in result.output
-        assert "length 41 exceeds" in result.output
+        record = json.loads(result.output.splitlines()[0])
+        assert record["success"] is False
+        assert "more than 0 candidate stacks" in record["reason"]
 
 
 @pytest.mark.parametrize("command", [

@@ -97,14 +97,24 @@ class TestEnumerate:
             seen.add(s.arcs)
 
     def test_size_guard(self, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_LENGTH", 12)
-        with pytest.raises(SizeGuard, match="length 13 exceeds"):
+        # 13 candidate stacks at length 12 and 22 at 13; "GC" * 6 has 5
+        # and "GC" * 7 has 14
+        monkeypatch.setattr(oracle, "MAX_CANDIDATES", 13)
+        with pytest.raises(SizeGuard, match="more than 13 candidate stacks at length 13"):
             list(enumerate_structures(13))
+        with pytest.raises(SizeGuard, match="more than 13 candidate stacks at length 14"):
+            fold("GC" * 7)
         with pytest.raises(SizeGuard):
-            fold("G" * 13)
-        with pytest.raises(SizeGuard):
-            ReferenceFoldOracle().fold("G" * 13)
+            ReferenceFoldOracle().fold("GC" * 7)
         assert sum(1 for _ in enumerate_structures(12)) > 0
+        assert fold("GC" * 6).mfe_energy < 0
+
+    def test_candidate_cap_admits_the_full_enumeration_at_28(self):
+        # MAX_STRUCTURES is sized for every structure of length 28, so the
+        # candidate cap must not cut that enumeration short
+        full = [(1 << 29) - 2] * 29
+        count = len(oracle._candidate_stacks(ValidationPolicy(), full))
+        assert count == 825 <= oracle.MAX_CANDIDATES
 
     def test_structure_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_STRUCTURES", 100)
@@ -357,6 +367,20 @@ class TestFold:
         with pytest.raises(SizeGuard, match="more than 1000 structures"):
             fold("GC" * 12)  # 2815 compatible structures
         assert fold("GC" * 10, 50).mfe_energy < 0
+
+    def test_candidate_cap_refuses_wide_folds(self):
+        # 1,496 and 6,833 candidate stacks: refused before any row
+        # is built, and the refusal stores nothing in the memo
+        rng = random.Random(400)
+        for seq in ("GC" * 20, random_sequence(rng, 400)):
+            with pytest.raises(SizeGuard, match=(
+                    f"more than {oracle.MAX_CANDIDATES} candidate stacks "
+                    f"at length {len(seq)}")):
+                fold(seq)
+            folder = ReferenceFoldOracle()
+            with pytest.raises(SizeGuard):
+                folder.fold(seq)
+            assert not folder._cache
 
     def test_leaves_no_cyclic_garbage(self):
         gc.collect()

@@ -15,14 +15,12 @@ from pkinv import (
     Arc,
     SearchConfig,
     Structure,
-    build_competitors,
     build_intervals,
     competitor_census,
     inverse_fold,
     mutate_against_competitors,
     oracle,
     parse_structure,
-    perturb_arc,
     structure_distance,
 )
 from pkinv.loops import ArcNotInStructure
@@ -35,12 +33,16 @@ from pkinv.search import (
     SearchTrace,
     _CountingOracle,
     adjust_sequence,
+    build_competitors,
     local_search,
+    perturb_arc,
 )
 from pkinv.sequences import can_pair, is_compatible, random_compatible_sequence
 
 from .helpers import (
     PSEUDOKNOT_18,
+    SEVEN_CYCLE_42,
+    crossing_graph_is_bipartite,
     random_sequence,
     random_valid_structure,
     reference_mutate_against_competitors,
@@ -483,17 +485,16 @@ class TestInverseFold:
             "fc47dbe11bb2f9354ba38ece4c62e1810a534855e6cb1e57a964290191b5f2ff"
         )
 
-    def test_trace_serializes_as_json_lines(self):
-        import json
-
-        result = inverse_fold(
-            HAIRPIN_TEXT, ReferenceFoldOracle(), SearchConfig(rng_seed=1)
-        )
-        lines = result.trace.to_jsonl().splitlines()
-        assert lines
-        for line in lines:
-            record = json.loads(line)
-            assert record["phase"] in ("adjust", "local")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_designs_a_three_family_target(self, seed):
+        # an odd cycle of crossing stacks, which two bracket families
+        # cannot write, unlike the H-type pseudoknot
+        assert crossing_graph_is_bipartite(parse_structure(PSEUDOKNOT_18))
+        target = parse_structure(SEVEN_CYCLE_42)
+        assert not crossing_graph_is_bipartite(target)
+        result = inverse_fold(target, ReferenceFoldOracle(), SearchConfig(rng_seed=seed))
+        refolded = ReferenceFoldOracle().fold(result.sequence, 1).mfe
+        assert structure_distance(refolded, target) == 0
 
 
 def test_bench_span_hooks_name_search_globals():
