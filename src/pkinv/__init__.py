@@ -4,56 +4,57 @@ Library layout: structure (arc diagrams and validation), loops (the loop
 decomposition and interval ladder), sequences (compatible sequence
 space), oracle (reference exhaustive folder with a surrogate energy
 model), search (the inverse-folding search itself), cli (command line).
+
+Importing the package loads none of them: each submodule, and each name
+exported here, is imported from its module on first access (PEP 562), so
+a command that needs only the structure module loads only that.
 """
 
-from .loops import (
-    IntervalPlan,
-    Loop,
-    LoopComponent,
-    build_intervals,
-    decompose_loops,
-)
-from .oracle import (
-    EnergyModel,
-    FoldResult,
-    ReferenceFoldOracle,
-    SizeGuard,
-    energy_of,
-    enumerate_structures,
-    fold,
-)
-from .search import (
-    InvalidTarget,
-    InvResult,
-    SearchConfig,
-    SearchFailed,
-    SearchTrace,
-    adjust_sequence,
-    competitor_census,
-    inverse_fold,
-    local_search,
-    mutate_against_competitors,
-)
-from .sequences import (
-    PAIRS,
-    can_pair,
-    compatible_distance,
-    compatible_neighbors,
-    is_compatible,
-    random_compatible_sequence,
-)
-from .structure import (
-    Arc,
-    Structure,
-    ValidationPolicy,
-    Violation,
-    crossing_number,
-    parse_structure,
-    restrict_structure,
-    serialize_structure,
-    stacks,
-    structure_distance,
-    validate_target,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# every exported name, and every submodule, mapped to the module it lives in
+_HOMES = {
+    **dict.fromkeys(
+        ("IntervalPlan", "Loop", "LoopComponent", "build_intervals",
+         "decompose_loops"),
+        "loops"),
+    **dict.fromkeys(
+        ("EnergyModel", "FoldResult", "ReferenceFoldOracle", "SizeGuard",
+         "energy_of", "enumerate_structures", "fold"),
+        "oracle"),
+    **dict.fromkeys(
+        ("InvalidTarget", "InvResult", "SearchConfig", "SearchFailed",
+         "SearchTrace", "adjust_sequence", "competitor_census", "inverse_fold",
+         "local_search", "mutate_against_competitors"),
+        "search"),
+    **dict.fromkeys(
+        ("PAIRS", "can_pair", "compatible_distance", "compatible_neighbors",
+         "is_compatible", "random_compatible_sequence"),
+        "sequences"),
+    **dict.fromkeys(
+        ("Arc", "Structure", "ValidationPolicy", "Violation", "crossing_number",
+         "parse_structure", "restrict_structure", "serialize_structure",
+         "stacks", "structure_distance", "validate_target"),
+        "structure"),
+    **{module: module
+       for module in ("loops", "oracle", "search", "sequences", "structure")},
+}
+
+__all__ = [name for name, home in _HOMES.items() if name != home]
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOMES.keys())

@@ -11,23 +11,19 @@ PKINV_ prefix, for example PKINV_INVERSE_SEED.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import time
-from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 import click
 
-from .loops import build_intervals
-from .oracle import DEFAULT_MODEL, EnergyModel, ReferenceFoldOracle
-from .search import SearchConfig, SearchFailed, inverse_fold
-from .structure import (
-    ValidationPolicy,
-    parse_structure,
-    serialize_structure,
-    structure_distance,
-    validate_target,
-)
+from . import __version__
+
+# the engine modules load inside the commands that call them, so that
+# --help, distance and decompose start without the oracle and the search
+if TYPE_CHECKING:
+    from .oracle import EnergyModel
+    from .structure import ValidationPolicy
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -61,6 +57,8 @@ def _read_structure_argument(value: str) -> str:
 
 
 def _load_model(ctx, param, path: str | None) -> EnergyModel:
+    from .oracle import DEFAULT_MODEL, EnergyModel
+
     if path is None:
         return DEFAULT_MODEL
     try:
@@ -79,6 +77,11 @@ def _run_trial(
     trial: int,
 ) -> dict:
     """Design trial number trial of a campaign, on seed + trial."""
+    from dataclasses import asdict
+
+    from .oracle import ReferenceFoldOracle
+    from .search import SearchConfig, SearchFailed, inverse_fold
+
     trial_seed = seed + trial
     oracle = ReferenceFoldOracle(policy, model)
     config = SearchConfig(n_best=n_best, rng_seed=trial_seed)
@@ -133,6 +136,8 @@ def _send_stripe(write_fd: int, run_trial, trials: int, worker: int,
     """Body of a forked worker: write its stripe as one JSON payload at the
     end, then leave through os._exit, so it never returns to the caller and
     never flushes the stdout buffer it inherited."""
+    import json
+
     status = 1
     try:
         with os.fdopen(write_fd, "w") as pipe:
@@ -154,6 +159,8 @@ def _campaign_records(run_trial, trials: int, workers: int) -> list[dict]:
     CampaignError names the lowest trial that raised, or a worker that
     ended without sending its records.
     """
+    import json  # here, before the fork, so that no worker imports it
+
     pipes, pids, stripes = [], [], []  # pids: children not yet reaped
     try:
         for worker in range(1, workers):
@@ -193,7 +200,7 @@ def _campaign_records(run_trial, trials: int, workers: int) -> list[dict]:
 
 
 @click.group(context_settings={"auto_envvar_prefix": "PKINV"})
-@click.version_option(package_name="pkinv")
+@click.version_option(version=__version__)
 def main():
     """Inverse folding of crossing RNA structures, with utilities."""
 
@@ -224,6 +231,13 @@ def main():
 def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
             model, fmt, jobs, trace_file):
     """Find sequences folding into the target; batch mode prints a report."""
+    import json
+
+    from . import search  # noqa: F401  loaded before the fork, never by a worker
+    from .oracle import ReferenceFoldOracle
+    from .structure import (ValidationPolicy, parse_structure, structure_distance,
+                            validate_target)
+
     try:
         target_text = _read_structure_argument(target)
     except ValueError as exc:
@@ -318,6 +332,9 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
 @click.pass_context
 def fold_cmd(ctx, sequence, n_best, k, sigma, min_arc_length, model):
     """Print the n best structures for a sequence as TSV."""
+    from .oracle import ReferenceFoldOracle
+    from .structure import ValidationPolicy, serialize_structure
+
     try:
         oracle = ReferenceFoldOracle(ValidationPolicy(k, sigma, min_arc_length),
                                      model)
@@ -337,6 +354,8 @@ def fold_cmd(ctx, sequence, n_best, k, sigma, min_arc_length, model):
 @click.pass_context
 def distance_cmd(ctx, first, second):
     """Print the structure distance between two bracket strings."""
+    from .structure import parse_structure, structure_distance
+
     try:
         d = structure_distance(
             parse_structure(_read_structure_argument(first)),
@@ -353,6 +372,9 @@ def distance_cmd(ctx, first, second):
 @click.pass_context
 def decompose_cmd(ctx, target):
     """Print the loop components and the interval ladder of a structure."""
+    from .loops import build_intervals
+    from .structure import parse_structure
+
     try:
         struct = parse_structure(_read_structure_argument(target))
         plan = build_intervals(struct)

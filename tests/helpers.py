@@ -7,9 +7,14 @@ stack-placement enumerator, so the two can check each other.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 from random import Random
 
+import pkinv
 from pkinv import (
     Structure,
     ValidationPolicy,
@@ -47,6 +52,15 @@ TWO_LOOP_10 = Structure.from_pairs(10, [(2, 8), (3, 5), (7, 9)])
 # Seven stacks whose crossings form an odd cycle, so no two bracket
 # families can write it: a 3-noncrossing target that needs a third.
 SEVEN_CYCLE_42 = "(((((([[[[[[)))(((]]][[[))){{{]]])))}}}]]]"
+
+
+def run_python(code: str) -> str:
+    """Stdout of code run by a fresh interpreter that imports this pkinv."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pkinv.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def random_sequence(rng: Random, n: int) -> str:

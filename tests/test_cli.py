@@ -4,18 +4,18 @@ import gc
 import hashlib
 import json
 import os
-import subprocess
-import sys
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import pkinv
 from pkinv import cli, oracle
 from pkinv.cli import main
 
-from .helpers import PSEUDOKNOT_18
+from .helpers import PSEUDOKNOT_18, run_python
 
 
 def run(*args):
@@ -72,21 +72,24 @@ class TestInverse:
             assert trace.read_bytes() == serial_trace.read_bytes()
 
     def test_import_leaves_the_process_pool_out(self):
-        # the forked workers need no pool, neither to import nor to run
-        code = ("import sys\n"
+        # the forked workers need no pool, neither to import nor to run, and
+        # the engine is loaded before the fork, so no worker imports it
+        code = ("import os, sys\n"
                 "from click.testing import CliRunner\n"
                 "import pkinv.cli\n"
                 "loaded = sys.modules.keys()"
                 " & {'concurrent.futures.process', 'multiprocessing'}\n"
+                "forks, fork = [], os.fork\n"
+                "def recording_fork():\n"
+                "    forks.append('pkinv.search' in sys.modules)\n"
+                "    return fork()\n"
+                "os.fork, os.cpu_count = recording_fork, lambda: 2\n"
                 "result = CliRunner().invoke(pkinv.cli.main, ['inverse',"
                 " '--target', '(((....)))', '--jobs', '2', '--trials', '3'])\n"
                 "assert result.exit_code == 0, result.output\n"
                 "print(sorted(loaded), sorted(sys.modules.keys()"
-                " & {'concurrent.futures.process', 'multiprocessing'}))")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[] []"
+                " & {'concurrent.futures.process', 'multiprocessing'}), forks)")
+        assert run_python(code).strip() == "[] [] [True]"
 
     @pytest.mark.parametrize("failing", [0, 1])
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -398,6 +401,33 @@ def test_unreadable_target_file_exits_2(tmp_path, command, make):
     assert "Traceback" not in result.output
     assert len(result.output.strip().splitlines()) == 1
     assert argument in result.output
+
+
+class TestStartup:
+    def test_version_is_the_project_version(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        version = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+        assert version == pkinv.__version__ == "0.1.0"
+        result = run("--version")
+        assert result.exit_code == 0
+        assert result.output.split()[-1] == pkinv.__version__
+
+    @pytest.mark.parametrize("args, engine", [
+        (["--help"], set()),
+        (["--version"], set()),
+        (["distance", "(((....)))", "((......))"], {"structure"}),
+        (["decompose", PSEUDOKNOT_18], {"loops", "structure"}),
+        (["fold", "GGGAAAACCC"], {"loops", "oracle", "sequences", "structure"}),
+    ], ids=["help", "version", "distance", "decompose", "fold"])
+    def test_commands_load_only_the_engine_they_call(self, args, engine):
+        code = ("import sys\n"
+                "from click.testing import CliRunner\n"
+                "from pkinv.cli import main\n"
+                f"result = CliRunner().invoke(main, {args!r})\n"
+                "assert result.exit_code == 0, result.output\n"
+                "print(*sorted(m for m in sys.modules if m.startswith('pkinv')))")
+        loaded = set(run_python(code).split())
+        assert loaded == {"pkinv", "pkinv.cli"} | {f"pkinv.{m}" for m in engine}
 
 
 class TestFoldCommand:

@@ -3,19 +3,15 @@
 import gc
 import hashlib
 import math
-import os
 import random
-import subprocess
 import sys
 import threading
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pkinv
 from pkinv import (
     Arc,
     Structure,
@@ -41,6 +37,7 @@ from .helpers import (
     naive_valid_structures,
     random_sequence,
     random_valid_structure,
+    run_python,
 )
 
 HAIRPIN = parse_structure("(((....)))")
@@ -398,11 +395,8 @@ class TestFold:
             gc.enable()
 
     def test_package_import_leaves_numpy_out(self):
-        code = "import sys, pkinv.cli; print('numpy' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(pkinv.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        code = "import sys, pkinv.cli; from pkinv import *; print('numpy' in sys.modules)"
+        assert run_python(code).strip() == "False"
 
 
 class TestOracleObject:

@@ -1,0 +1,61 @@
+"""The package namespace: every export resolves, each from its own module."""
+
+from importlib import import_module
+
+import pytest
+
+import pkinv
+
+from .helpers import run_python
+
+EXPORTS = {
+    "loops": ["IntervalPlan", "Loop", "LoopComponent", "build_intervals",
+              "decompose_loops"],
+    "oracle": ["EnergyModel", "FoldResult", "ReferenceFoldOracle", "SizeGuard",
+               "energy_of", "enumerate_structures", "fold"],
+    "search": ["InvalidTarget", "InvResult", "SearchConfig", "SearchFailed",
+               "SearchTrace", "adjust_sequence", "competitor_census",
+               "inverse_fold", "local_search", "mutate_against_competitors"],
+    "sequences": ["PAIRS", "can_pair", "compatible_distance",
+                  "compatible_neighbors", "is_compatible",
+                  "random_compatible_sequence"],
+    "structure": ["Arc", "Structure", "ValidationPolicy", "Violation",
+                  "crossing_number", "parse_structure", "restrict_structure",
+                  "serialize_structure", "stacks", "structure_distance",
+                  "validate_target"],
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+
+
+def test_all_lists_the_exports():
+    assert len(NAMES) == 39
+    assert sorted(pkinv.__all__) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("module", EXPORTS)
+def test_each_export_is_its_modules_own_object(module):
+    home = import_module(f"pkinv.{module}")
+    assert getattr(pkinv, module) is home
+    for name in EXPORTS[module]:
+        assert getattr(pkinv, name) is getattr(home, name)
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from pkinv import *", namespace)
+    assert {name: namespace[name] for name in NAMES} == {
+        name: getattr(pkinv, name) for name in NAMES}
+    assert set(NAMES) | set(EXPORTS) <= set(dir(pkinv))
+
+
+def test_import_loads_submodules_on_first_use():
+    code = ("import sys\n"
+            "import pkinv\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('pkinv')))\n"
+            "print(pkinv.oracle.__name__, pkinv.fold.__module__)")
+    assert run_python(code).splitlines() == ["pkinv", "pkinv.oracle pkinv.oracle"]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        pkinv.no_such_name
