@@ -11,6 +11,7 @@ PKINV_ prefix, for example PKINV_INVERSE_SEED.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import time
 from typing import TYPE_CHECKING
@@ -136,8 +137,6 @@ def _send_stripe(write_fd: int, run_trial, trials: int, worker: int,
     """Body of a forked worker: write its stripe as one JSON payload at the
     end, then leave through os._exit, so it never returns to the caller and
     never flushes the stdout buffer it inherited."""
-    import json
-
     status = 1
     try:
         with os.fdopen(write_fd, "w") as pipe:
@@ -159,8 +158,6 @@ def _campaign_records(run_trial, trials: int, workers: int) -> list[dict]:
     CampaignError names the lowest trial that raised, or a worker that
     ended without sending its records.
     """
-    import json  # here, before the fork, so that no worker imports it
-
     pipes, pids, stripes = [], [], []  # pids: children not yet reaped
     try:
         for worker in range(1, workers):
@@ -231,8 +228,6 @@ def main():
 def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
             model, fmt, jobs, trace_file):
     """Find sequences folding into the target; batch mode prints a report."""
-    import json
-
     from . import search  # noqa: F401  loaded before the fork, never by a worker
     from .oracle import ReferenceFoldOracle
     from .structure import (ValidationPolicy, parse_structure, structure_distance,
