@@ -10,8 +10,6 @@ exported here, is imported from its module on first access (PEP 562), so
 a command that needs only the structure module loads only that.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # every exported name, and every submodule, mapped to the module it lives in
@@ -50,7 +48,9 @@ def __getattr__(name: str):
         home = _HOMES[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    module = import_module(f"{__name__}.{home}")
+    # __import__, unlike importlib.import_module, shows in -X importtime;
+    # a nonempty fromlist makes it return the submodule itself
+    module = __import__(f"{__name__}.{home}", fromlist=["_"])
     value = module if name == home else getattr(module, name)
     globals()[name] = value
     return value

@@ -88,30 +88,23 @@ def _run_trial(
     config = SearchConfig(n_best=n_best, rng_seed=trial_seed)
     started = time.perf_counter()
     try:
-        result = inverse_fold(target_text, oracle, config)
-        record = {
-            "trial": trial,
-            "seed": trial_seed,
-            "target": target_text,
-            "success": True,
-            "sequence": result.sequence,
-            "oracle_calls": result.oracle_calls,
-        }
-        trace = result.trace
-    except SearchFailed as failure:
-        record = {
-            "trial": trial,
-            "seed": trial_seed,
-            "target": target_text,
-            "success": False,
-            "sequence": None,
-            "oracle_calls": failure.oracle_calls,
-            "reason": str(failure),
-        }
-        trace = failure.trace
+        outcome = inverse_fold(target_text, oracle, config)
+        sequence = outcome.sequence
+    except SearchFailed as failure:  # it carries oracle_calls and trace too
+        outcome, sequence = failure, None
+    record = {
+        "trial": trial,
+        "seed": trial_seed,
+        "target": target_text,
+        "success": sequence is not None,
+        "sequence": sequence,
+        "oracle_calls": outcome.oracle_calls,
+    }
+    if sequence is None:
+        record["reason"] = str(outcome)
     record["_elapsed"] = time.perf_counter() - started
     if want_trace:
-        record["_trace"] = [asdict(r) for r in trace.records]
+        record["_trace"] = [asdict(r) for r in outcome.trace.records]
     return record
 
 

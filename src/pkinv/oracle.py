@@ -31,7 +31,8 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from .loops import _census, _members, loop_census
-from .sequences import BASES, PAIRS, IncompatibleInput, _PAIR_SET, _require_compatible
+from .sequences import (BASES, PAIRS, IncompatibleInput, _DROP_BASES, _PAIR_SET,
+                        _require_compatible)
 from .structure import (
     Arc,
     Structure,
@@ -72,7 +73,6 @@ _PARTNER_DIGITS = {
     x: str.maketrans(BASES, "".join("1" if x + y in _PAIR_SET else "0" for y in BASES))
     for x in BASES
 }
-_DROP_BASES = str.maketrans("", "", BASES)
 
 
 class SizeGuard(ValueError):

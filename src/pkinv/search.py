@@ -17,7 +17,8 @@ from typing import ClassVar, NamedTuple
 
 from .loops import ArcNotInStructure, IntervalPlan, _members, build_intervals
 from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard, _pair_masks
-from .sequences import BASES, PAIRS, can_pair, random_compatible_sequence
+from .sequences import (BASES, _unpaired_first, can_pair, other_values, put,
+                        random_compatible_sequence, site_chars, site_values, sites)
 from .structure import (
     Arc,
     Structure,
@@ -257,55 +258,32 @@ def competitor_census(
 def mutate_against_competitors(
     seq: str, target: Structure, census: CompetitorCensus, rng: Random
 ) -> MutationOutcome:
-    """Redraw every position where some competitor pairs differently.
+    """Redraw every site of the target where some competitor pairs an end
+    differently.
 
-    Unpaired target positions get a new base that no competitor partner
-    can bond with; arcs get a new allowed pair whose start-side base
-    breaks each competitor pairing there.  Constraints always compare
-    against the pre-mutation sequence.  When no base or pair satisfies
-    the constraints the position falls back to an unconstrained
-    target-compatible redraw and is flagged.
+    A site gets a new value whose start-side base bonds with no competitor
+    partner of its start; an arc's own partner does not count.
+    Constraints always compare against the pre-mutation sequence.  When
+    no value satisfies them the site falls back to an unconstrained
+    redraw and is flagged.
     """
     flagged, rivals = census
-    new = list(seq)
+    chars = site_chars(seq)
+    new = chars.copy()
     mutated: list[int] = []
     fallbacks: list[int] = []
-    for w in range(1, target.n + 1):
-        v = target.partner[w]
-        if v == 0:
-            if not flagged[w]:
-                continue
-            old = seq[w - 1]
-            rival_bases = {seq[u - 1] for u in rivals[w]}
-            options = [
-                b
-                for b in BASES
-                if b != old and _PARTNERS[b].isdisjoint(rival_bases)
-            ]
-            if options:
-                new[w - 1] = rng.choice(options)
-            else:
-                new[w - 1] = rng.choice([b for b in BASES if b != old])
-                fallbacks.append(w)
-            mutated.append(w)
-        elif v > w:
-            if not (flagged[w] or flagged[v]):
-                continue
-            old_pair = seq[w - 1] + seq[v - 1]
-            rival_bases = {seq[u - 1] for u in rivals[w] if u != v}
-            options = [
-                p
-                for p in PAIRS
-                if p != old_pair and _PARTNERS[p[0]].isdisjoint(rival_bases)
-            ]
-            if options:
-                pair = rng.choice(options)
-            else:
-                pair = rng.choice([p for p in PAIRS if p != old_pair])
-                fallbacks.append(w)
-            new[w - 1], new[v - 1] = pair[0], pair[1]
-            mutated.append(w)
-        # v < w: end point, handled when its start point was processed
+    for w, v in sites(target):
+        if not (flagged[w] or v and flagged[v]):
+            continue
+        old = chars[w] + chars[v]
+        rival_bases = {chars[u] for u in rivals[w] if u != v}
+        options = [x for x in site_values(v)
+                   if x != old and _PARTNERS[x[0]].isdisjoint(rival_bases)]
+        if not options:
+            options = other_values(chars, w, v)
+            fallbacks.append(w)
+        put(new, w, v, rng.choice(options))
+        mutated.append(w)
     return MutationOutcome("".join(new), tuple(mutated), tuple(fallbacks))
 
 
@@ -370,46 +348,16 @@ def adjust_sequence(
     return best_seq
 
 
-def _flagged_candidates(
+def _candidate_sites(
     folded: Structure, target_sub: Structure
-) -> list[tuple[str, tuple[int, ...]]]:
-    length = target_sub.n
-    mismatched = [
-        w
-        for w in range(1, length + 1)
-        if folded.partner[w] != target_sub.partner[w]
-    ]
-    examine: set[int] = set()
-    for w in mismatched:
-        examine.add(w)
-        if w > 1:
-            examine.add(w - 1)
-        if w < length:
-            examine.add(w + 1)
-    unpaired = sorted(w for w in examine if target_sub.partner[w] == 0)
-    pairs = sorted(
-        {
-            (min(w, target_sub.partner[w]), max(w, target_sub.partner[w]))
-            for w in examine
-            if target_sub.partner[w] != 0
-        }
-    )
-    return [("u", (w,)) for w in unpaired] + [("p", pq) for pq in pairs]
-
-
-def _mutate_candidate(
-    sub: str, kind: str, where: tuple[int, ...], rng: Random
-) -> str:
-    chars = list(sub)
-    if kind == "u":
-        (w,) = where
-        chars[w - 1] = rng.choice([b for b in BASES if b != sub[w - 1]])
-    else:
-        w, v = where
-        old_pair = sub[w - 1] + sub[v - 1]
-        pair = rng.choice([p for p in PAIRS if p != old_pair])
-        chars[w - 1], chars[v - 1] = pair[0], pair[1]
-    return "".join(chars)
+) -> list[tuple[int, int]]:
+    """The sites of target_sub with an end at or next to a position that
+    folds wrongly, unpaired sites first."""
+    near = {u for w, (p, q) in enumerate(zip(folded.partner, target_sub.partner))
+            if p != q for u in (w - 1, w, w + 1)}
+    near.discard(0)  # no position, but it would match every unpaired (w, 0)
+    candidates = [site for site in sites(target_sub) if not near.isdisjoint(site)]
+    return sorted(candidates, key=_unpaired_first)
 
 
 def local_search(
@@ -423,9 +371,9 @@ def local_search(
 ) -> str:
     """Interval-wise local search for a sequence folding into the target.
 
-    For each interval the subsequence is folded and only wrongly folding
-    positions (plus their neighbors) are mutated, one candidate per
-    flagged position per pass, in random order.  Strict improvements are
+    For each interval the subsequence is folded and only the sites with
+    an end at or next to a wrongly folding position are redrawn, one
+    candidate per site per pass, in random order.  Strict improvements are
     kept; moves within the uphill margin are accepted with the uphill
     probability without resetting the best distance; among equal-distance
     candidates the one with the lowest mfe wins.  An interval ends at
@@ -449,15 +397,17 @@ def local_search(
             )
             if distance == 0:
                 break
-            candidates = _flagged_candidates(result.mfe, target_sub)
+            candidates = _candidate_sites(result.mfe, target_sub)
             rng.shuffle(candidates)
             ties: list[tuple[float, str]] = []
             moved = False
             uphill = False
-            for kind, where in candidates:
+            for w, v in candidates:
                 if calls >= cap:
                     break
-                candidate = _mutate_candidate(sub, kind, where, rng)
+                chars = site_chars(sub)
+                put(chars, w, v, rng.choice(other_values(chars, w, v)))
+                candidate = "".join(chars)
                 refold = oracle.fold(candidate, 1)
                 calls += 1
                 candidate_distance = structure_distance(refold.mfe, target_sub)

@@ -1,10 +1,12 @@
 """Nucleotide sequences compatible with a structure.
 
-A sequence is compatible with a structure when the bases at every arc can
-bond (AU, UA, GC, CG, GU, UG).  Compatible sequences form a graph whose
-moves are single-base changes at unpaired positions and whole-pair
-exchanges at arcs; a pair exchange counts as one step even when it
-changes two characters.
+A sequence is compatible with a structure when it holds only ACGU and
+the bases at every arc can bond (AU, UA, GC, CG, GU, UG).  The values sit
+on the structure's sites (w, v): an unpaired w is the site (w, 0) and
+takes a base, an arc (i, j) is the site (i, j) and takes a pair.
+Compatible sequences form a graph whose moves give one site a new value,
+so a pair exchange counts as one step even when it changes two
+characters.
 
 Sequences that actually fold into the structure are a subset of the
 compatible ones, so the compatible distance is a lower bound on any
@@ -21,6 +23,7 @@ from .structure import LengthMismatch, Structure
 BASES = "ACGU"
 PAIRS = ("AU", "CG", "GC", "GU", "UA", "UG")
 _PAIR_SET = frozenset(PAIRS)
+_DROP_BASES = str.maketrans("", "", BASES)
 
 
 class IncompatibleInput(ValueError):
@@ -33,9 +36,12 @@ def can_pair(x: str, y: str) -> bool:
 
 
 def is_compatible(seq: str, s: Structure) -> bool:
+    """True when seq holds only ACGU and every arc of s can pair."""
     if len(seq) != s.n:
         raise LengthMismatch(f"sequence length {len(seq)} != structure length {s.n}")
-    return all(can_pair(seq[a.i - 1], seq[a.j - 1]) for a in s.arcs)
+    return not seq.translate(_DROP_BASES) and all(
+        can_pair(seq[a.i - 1], seq[a.j - 1]) for a in s.arcs
+    )
 
 
 def _require_compatible(seq: str, s: Structure) -> None:
@@ -43,70 +49,76 @@ def _require_compatible(seq: str, s: Structure) -> None:
         raise IncompatibleInput("sequence is not compatible with the structure")
 
 
+def sites(s: Structure) -> list[tuple[int, int]]:
+    """The sites of s in position order: (w, 0) for an unpaired w, and
+    (i, j) once per arc, at its left end."""
+    return [(w, v) for w, v in enumerate(s.partner) if w and not 0 < v < w]
+
+
+def site_values(v: int) -> str | tuple[str, ...]:
+    """The values a site (w, v) takes: a base unpaired, a pair at an arc."""
+    return PAIRS if v else BASES
+
+
+def site_chars(seq: str) -> list[str]:
+    """seq by position, with an empty slot 0 as in a partner vector, so
+    that chars[w] + chars[v] is the value of any site (w, v)."""
+    return ["", *seq]
+
+
+def other_values(chars: list[str], w: int, v: int) -> list[str]:
+    """The values of the site (w, v) that chars does not hold, in order."""
+    old = chars[w] + chars[v]
+    return [value for value in site_values(v) if value != old]
+
+
+def put(chars: list[str], w: int, v: int, value: str) -> None:
+    """Write value at the site (w, v) of a site_chars list; slot 0 stays
+    empty, as an unpaired site's value has no second half."""
+    chars[w], chars[v] = value[0], value[1:]
+
+
+def _unpaired_first(site: tuple[int, int]) -> bool:
+    """Sort key: unpaired sites, then arcs, each kept in position order."""
+    return site[1] != 0
+
+
 def random_compatible_sequence(target: Structure, rng: Random) -> str:
     """Uniform random sequence compatible with the target.
 
-    Each unpaired position draws uniformly from the four bases and each
-    arc draws uniformly from the six allowed pairs, independently.  One
-    pass over positions 1..n keeps the draw order reproducible.
+    Each site draws uniformly from its values, independently, in position
+    order, which keeps the draws reproducible.
     """
-    out = [""] * target.n
-    for w in range(1, target.n + 1):
-        v = target.partner[w]
-        if v == 0:
-            out[w - 1] = rng.choice(BASES)
-        elif v > w:
-            pair = rng.choice(PAIRS)
-            out[w - 1] = pair[0]
-            out[v - 1] = pair[1]
-    return "".join(out)
+    chars = [""] * (target.n + 1)
+    for w, v in sites(target):
+        put(chars, w, v, rng.choice(site_values(v)))
+    return "".join(chars)
 
 
 def compatible_neighbors(seq: str, s: Structure) -> list[str]:
-    """All one-step compatible mutations of seq.
+    """All one-step compatible mutations of seq, unpaired sites first.
 
     Three per unpaired position and five per arc, so the count is always
     3 * n_u + 5 * n_p.
     """
     _require_compatible(seq, s)
+    chars = site_chars(seq)
     out: list[str] = []
-    for w in range(1, s.n + 1):
-        if s.partner[w] != 0:
-            continue
-        for base in BASES:
-            if base != seq[w - 1]:
-                out.append(seq[: w - 1] + base + seq[w:])
-    for arc in s.arcs:
-        current = seq[arc.i - 1] + seq[arc.j - 1]
-        for pair in PAIRS:
-            if pair == current:
-                continue
-            chars = list(seq)
-            chars[arc.i - 1] = pair[0]
-            chars[arc.j - 1] = pair[1]
-            out.append("".join(chars))
+    for w, v in sorted(sites(s), key=_unpaired_first):
+        for value in other_values(chars, w, v):
+            neighbor = chars.copy()
+            put(neighbor, w, v, value)
+            out.append("".join(neighbor))
     return out
 
 
 def compatible_distance(seq_a: str, seq_b: str, s: Structure) -> int:
-    """Shortest path length between two compatible sequences.
-
-    Unpaired positions that differ contribute one step each; arcs whose
-    pairs differ contribute one step regardless of whether one or two
-    characters change.
-    """
+    """Shortest path length between two compatible sequences: the number
+    of sites whose values differ, so an arc counts one step whether one
+    or two of its characters change."""
     if len(seq_a) != len(seq_b):
         raise LengthMismatch("sequences have different lengths")
     _require_compatible(seq_a, s)
     _require_compatible(seq_b, s)
-    steps = sum(
-        1
-        for w in range(1, s.n + 1)
-        if s.partner[w] == 0 and seq_a[w - 1] != seq_b[w - 1]
-    )
-    steps += sum(
-        1
-        for a in s.arcs
-        if (seq_a[a.i - 1], seq_a[a.j - 1]) != (seq_b[a.i - 1], seq_b[a.j - 1])
-    )
-    return steps
+    a, b = site_chars(seq_a), site_chars(seq_b)
+    return sum(a[w] + a[v] != b[w] + b[v] for w, v in sites(s))

@@ -54,13 +54,19 @@ TWO_LOOP_10 = Structure.from_pairs(10, [(2, 8), (3, 5), (7, 9)])
 SEVEN_CYCLE_42 = "(((((([[[[[[)))(((]]][[[))){{{]]])))}}}]]]"
 
 
-def run_python(code: str) -> str:
-    """Stdout of code run by a fresh interpreter that imports this pkinv."""
+def python_process(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter, started with flags, that ran code importing
+    this pkinv and exited 0."""
     env = {**os.environ, "PYTHONPATH": str(Path(pkinv.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done
+
+
+def run_python(code: str) -> str:
+    """Stdout of code run by a fresh interpreter that imports this pkinv."""
+    return python_process(code).stdout
 
 
 def random_sequence(rng: Random, n: int) -> str:
@@ -247,3 +253,36 @@ def reference_mutate_against_competitors(
             new[w - 1], new[v - 1] = pair[0], pair[1]
             mutated.append(w)
     return MutationOutcome("".join(new), tuple(mutated), tuple(fallbacks))
+
+
+def reference_flagged_candidates(
+    folded: Structure, target_sub: Structure
+) -> list[tuple[str, tuple[int, ...]]]:
+    """The local search's candidates as ("u", (w,)) per unpaired position
+    and ("p", (i, j)) per arc, unpaired first, each sorted.
+
+    The search walks sites (w, 0) and (i, j) instead; both must list the
+    same places in the same order, which rng.shuffle then permutes.
+    """
+    length = target_sub.n
+    mismatched = [
+        w
+        for w in range(1, length + 1)
+        if folded.partner[w] != target_sub.partner[w]
+    ]
+    examine: set[int] = set()
+    for w in mismatched:
+        examine.add(w)
+        if w > 1:
+            examine.add(w - 1)
+        if w < length:
+            examine.add(w + 1)
+    unpaired = sorted(w for w in examine if target_sub.partner[w] == 0)
+    pairs = sorted(
+        {
+            (min(w, target_sub.partner[w]), max(w, target_sub.partner[w]))
+            for w in examine
+            if target_sub.partner[w] != 0
+        }
+    )
+    return [("u", (w,)) for w in unpaired] + [("p", pq) for pq in pairs]

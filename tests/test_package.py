@@ -6,7 +6,7 @@ import pytest
 
 import pkinv
 
-from .helpers import run_python
+from .helpers import python_process, run_python
 
 EXPORTS = {
     "loops": ["IntervalPlan", "Loop", "LoopComponent", "build_intervals",
@@ -54,6 +54,14 @@ def test_import_loads_submodules_on_first_use():
             "print(*sorted(m for m in sys.modules if m.startswith('pkinv')))\n"
             "print(pkinv.oracle.__name__, pkinv.fold.__module__)")
     assert run_python(code).splitlines() == ["pkinv", "pkinv.oracle pkinv.oracle"]
+
+
+def test_namespace_imports_show_in_importtime():
+    # python -X importtime logs what __import__ loads, not importlib.import_module
+    log = python_process("import pkinv; pkinv.search", "-X", "importtime").stderr
+    logged = {line.rsplit("|", 1)[-1].strip() for line in log.splitlines()
+              if line.startswith("import time:")}
+    assert {"pkinv", "pkinv.search", "pkinv.oracle", "pkinv.sequences"} <= logged
 
 
 def test_unknown_name_raises_attribute_error():

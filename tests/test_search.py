@@ -31,6 +31,7 @@ from pkinv.search import (
     MutationOutcome,
     SearchFailed,
     SearchTrace,
+    _candidate_sites,
     _CountingOracle,
     adjust_sequence,
     build_competitors,
@@ -43,8 +44,10 @@ from .helpers import (
     PSEUDOKNOT_18,
     SEVEN_CYCLE_42,
     crossing_graph_is_bipartite,
+    random_matching,
     random_sequence,
     random_valid_structure,
+    reference_flagged_candidates,
     reference_mutate_against_competitors,
 )
 
@@ -402,6 +405,23 @@ class TestLocalSearch:
             start, target, plan, _CountingOracle(oracle), config, rng, SearchTrace()
         )
         assert is_compatible(final, target)
+
+    def test_candidate_sites_equal_the_reference(self):
+        rng = random.Random(37)
+        for case in range(400):
+            target = random_matching(rng, rng.randint(1, 26))
+            if case % 2:  # a fold near the target: some arcs kept, some new
+                kept = [a for a in target.arcs if rng.random() < 0.7]
+                free = [w for w in range(1, target.n + 1)
+                        if all(w not in a for a in kept)]
+                rng.shuffle(free)
+                extra = [sorted(free[2 * t:2 * t + 2]) for t in range(len(free) // 4)]
+                folded = Structure.from_pairs(target.n, kept + extra)
+            else:
+                folded = random_matching(rng, target.n)
+            expected = [(*where, 0) if kind == "u" else where
+                        for kind, where in reference_flagged_candidates(folded, target)]
+            assert _candidate_sites(folded, target) == expected
 
 
 class TestInverseFold:

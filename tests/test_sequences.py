@@ -1,5 +1,6 @@
 """Compatibility rules, neighborhoods, and the compatible distance."""
 
+import hashlib
 import itertools
 import random
 from collections import deque
@@ -13,14 +14,15 @@ from pkinv import (
     can_pair,
     compatible_distance,
     compatible_neighbors,
+    energy_of,
     is_compatible,
     parse_structure,
     random_compatible_sequence,
 )
-from pkinv.sequences import PAIRS, IncompatibleInput
+from pkinv.sequences import PAIRS, IncompatibleInput, sites
 from pkinv.structure import LengthMismatch
 
-from .helpers import random_valid_structure
+from .helpers import random_matching, random_valid_structure
 
 HAIRPIN = parse_structure("(((....)))")
 
@@ -55,6 +57,29 @@ class TestCompatibility:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             is_compatible("AA", HAIRPIN)
+
+    def test_only_acgu_is_compatible(self):
+        s = parse_structure("((((....))))")
+        assert is_compatible("GGGGAAAACCCC", s)
+        for seq in ("GGGGNNNNCCCC", "GGGGxxxxCCCC", "GGGGaaaaCCCC", "GGGGTAAACCCC"):
+            assert not is_compatible(seq, s)
+            with pytest.raises(IncompatibleInput):
+                compatible_neighbors(seq, s)
+            with pytest.raises(IncompatibleInput):
+                energy_of(seq, s)
+
+
+class TestSites:
+    def test_sites_cover_every_position_once_in_order(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            s = random_matching(rng, rng.randint(1, 30))
+            found = sites(s)
+            ends = sorted(u for w, v in found for u in (w, v) if u)
+            assert ends == list(range(1, s.n + 1))
+            assert [(w, v) for w, v in found if v] == list(s.arcs)
+            assert all(v == s.partner[w] for w, v in found)
+            assert [w for w, _ in found] == sorted(w for w, _ in found)
 
 
 class TestMakeStart:
@@ -113,6 +138,18 @@ class TestNeighbors:
         assert len(neighbors) == 3 * n_u + 5 * n_p
         assert len(set(neighbors)) == len(neighbors)
         assert all(is_compatible(x, s) for x in neighbors)
+
+    def test_order_is_pinned(self):
+        # unpaired sites first, then arcs, each in position order; the
+        # sampled sequences pin the sampler's draws as well
+        rng = random.Random(47)
+        lines = []
+        for _ in range(60):
+            s = random_matching(rng, rng.randint(1, 24))
+            lines += compatible_neighbors(random_compatible_sequence(s, rng), s)
+        assert len(lines) == 2114
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "049d00753b7138988eca44a30a30cf3d4941ee7be084a567c2609d4716df28b4")
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
