@@ -301,11 +301,12 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
         mean_time = sum(times) / len(times) if times else 0.0
         # nearest rank: the ceil(0.9 * n)-th smallest time
         p90 = sorted(times)[(9 * len(times) + 9) // 10 - 1] if times else 0.0
+        seeds = f"{seed}..{seed + trials - 1}" if trials else "none"
         click.echo(
             f"report  length={parsed.n} trials={trials} successes={successes} "
             f"rate={100.0 * successes / max(trials, 1):.1f}% "
             f"total_time={total_time:.2f}s mean_time={mean_time:.3f}s "
-            f"p90_time={p90:.3f}s seeds={seed}..{seed + trials - 1}"
+            f"p90_time={p90:.3f}s seeds={seeds}"
         )
     ctx.exit(EXIT_OK if successes == trials else EXIT_FAILED)
 
@@ -323,6 +324,9 @@ def fold_cmd(ctx, sequence, n_best, k, sigma, min_arc_length, model):
     from .oracle import ReferenceFoldOracle
     from .structure import ValidationPolicy, serialize_structure
 
+    if not sequence:
+        click.echo("empty sequence", err=True)
+        ctx.exit(EXIT_INVALID)
     try:
         oracle = ReferenceFoldOracle(ValidationPolicy(k, sigma, min_arc_length),
                                      model)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -52,10 +53,13 @@ MAX_CANDIDATES = 1024
 # structures of length 28.  With MAX_CANDIDATES it bounds the rows at
 # about 250k x (100 B + 1024 / 8 B), or 57 MB.
 MAX_STRUCTURES = 250_000
-# Sequences whose fold one ReferenceFoldOracle keeps, least recently used
-# out first, each at the largest n_best asked of it: a design folds about
-# 16 distinct sequences, and its repeats fall within the last 256.
-MAX_MEMO_ENTRIES = 4096
+# Structures one ReferenceFoldOracle's memo holds, least recently used
+# sequence out first.  It counts structures, not sequences, because an
+# entry's memory grows with the structures it holds (1 to n_best).  A
+# design's repeats fall within its last 256 sequences; short designs
+# through one oracle keep about 400 sequences in this budget, most held
+# at n_best 1, and fold no more often than with an unbounded memo.
+MAX_MEMO_STRUCTURES = 1024
 
 # loop penalties, in the order of the loop_census counts they weigh
 _LOOP_PENALTIES = ("hairpin", "interior", "stacked", "multi", "pseudoknot")
@@ -435,7 +439,10 @@ class ReferenceFoldOracle:
     any n_best up to the stored one by slicing: fold's list is the first
     n_best structures of one total order, (energy, arcs), so the first k
     of a longer list are fold's k-list.  A larger n_best folds again and
-    replaces the entry.
+    replaces the entry.  After each store, least recently used entries
+    go until the memo holds at most MAX_MEMO_STRUCTURES structures; the
+    entry just stored never goes, so one larger than the budget stays
+    until the next store.
 
     Duck-typed contract for any substitute: a ``policy`` attribute and a
     ``fold(seq, n_best=1) -> FoldResult`` method that is deterministic
@@ -450,16 +457,26 @@ class ReferenceFoldOracle:
         self.policy = policy or ValidationPolicy()
         self.model = model
         self._cache: OrderedDict[str, tuple[int, FoldResult]] = OrderedDict()
+        self._held = 0  # structures the memo's results hold
+        self._lock = threading.Lock()  # guards _cache and _held, not folds
 
     def fold(self, seq: str, n_best: int = 1) -> FoldResult:
-        stored, result = self._cache.get(seq, (0, None))
-        if not 0 < n_best <= stored:  # fold refuses an n_best below 1
+        with self._lock:
+            stored, result = self._cache.get(seq, (0, None))
+            if 0 < n_best <= stored:  # fold refuses an n_best below 1
+                self._cache.move_to_end(seq)
+        if not 0 < n_best <= stored:
             stored, result = n_best, fold(seq, n_best, self.policy, self.model)
-        # pop with a default, never del: a concurrent caller may have evicted it
-        self._cache.pop(seq, None)
-        self._cache[seq] = stored, result
-        if len(self._cache) > MAX_MEMO_ENTRIES:
-            self._cache.popitem(last=False)
+            with self._lock:
+                # the entry of a smaller n_best, or a concurrent caller's
+                replaced = self._cache.pop(seq, None)
+                if replaced is not None:
+                    self._held -= len(replaced[1].structures)
+                self._cache[seq] = stored, result
+                self._held += len(result.structures)
+                while self._held > MAX_MEMO_STRUCTURES and len(self._cache) > 1:
+                    _, (_, evicted) = self._cache.popitem(last=False)
+                    self._held -= len(evicted.structures)
         if n_best < stored:
             return FoldResult(result.structures[:n_best], result.energies[:n_best])
         return result

@@ -349,15 +349,14 @@ def adjust_sequence(
 
 
 def _candidate_sites(
-    folded: Structure, target_sub: Structure
+    folded: Structure, target_sub: Structure, target_sites: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
     """The sites of target_sub with an end at or next to a position that
-    folds wrongly, unpaired sites first."""
+    folds wrongly, in the order of target_sites, its sites unpaired first."""
     near = {u for w, (p, q) in enumerate(zip(folded.partner, target_sub.partner))
             if p != q for u in (w - 1, w, w + 1)}
     near.discard(0)  # no position, but it would match every unpaired (w, 0)
-    candidates = [site for site in sites(target_sub) if not near.isdisjoint(site)]
-    return sorted(candidates, key=_unpaired_first)
+    return [site for site in target_sites if not near.isdisjoint(site)]
 
 
 def local_search(
@@ -384,6 +383,7 @@ def local_search(
     cap = config.phase_cap_factor * target.n
     for lo, hi in plan.intervals:
         target_sub = restrict_structure(target, lo, hi)
+        target_sites = sorted(sites(target_sub), key=_unpaired_first)
         calls = 0
         passes = 0
         while calls < cap:
@@ -397,7 +397,7 @@ def local_search(
             )
             if distance == 0:
                 break
-            candidates = _candidate_sites(result.mfe, target_sub)
+            candidates = _candidate_sites(result.mfe, target_sub, target_sites)
             rng.shuffle(candidates)
             ties: list[tuple[float, str]] = []
             moved = False

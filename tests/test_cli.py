@@ -289,6 +289,13 @@ class TestInverse:
         assert "Invalid value for '--trace'" in result.stderr
         assert "Traceback" not in result.output
 
+    def test_zero_trials_report_no_seed_range(self):
+        result = run("inverse", "--target", "(((....)))", "--trials", "0")
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1].endswith(" seeds=none")
+        result = run("inverse", "--target", "(((....)))", "--trials", "1", "--seed", "4")
+        assert result.output.splitlines()[-1].endswith(" seeds=4..4")
+
     def test_text_report_p90_is_nearest_rank(self, monkeypatch):
         def failed_trial(target_text, seed, n_best, policy, model, want_trace,
                          trial):
@@ -441,6 +448,12 @@ class TestFoldCommand:
         lines = result.output.strip().splitlines()
         assert lines[0] == "(((::::)))\t-6"
         assert lines[1] == "::::::::::\t0"
+
+    def test_empty_sequence_exits_2(self):
+        result = run("fold", "")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.strip() == "empty sequence"
 
     def test_bad_sequence_exits_2(self):
         result = run("fold", "GGXC")

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+from collections import OrderedDict
 from functools import lru_cache
 
 import pytest
@@ -399,6 +400,11 @@ class TestFold:
         assert run_python(code).strip() == "False"
 
 
+def memo_structures(memo: ReferenceFoldOracle) -> int:
+    """The structures a ReferenceFoldOracle's memo entries hold."""
+    return sum(len(result.structures) for _, result in memo._cache.values())
+
+
 class TestOracleObject:
     def test_cache_and_policy(self):
         oracle = ReferenceFoldOracle()
@@ -408,20 +414,69 @@ class TestOracleObject:
         assert a is b
 
     def test_memo_is_a_bounded_lru(self, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 4)
+        monkeypatch.setattr(oracle, "MAX_MEMO_STRUCTURES", 12)
         memo = ReferenceFoldOracle()
         rng = random.Random(8)
-        seqs = [random_sequence(rng, 16) for _ in range(10)]
+        seqs = []  # sequences with three structures at n_best 3: four fit
+        while len(seqs) < 10:
+            seq = random_sequence(rng, 16)
+            if len(fold(seq, 3).structures) == 3:
+                seqs.append(seq)
         kept = memo.fold(seqs[0], 3)
         for seq in seqs[1:]:
             assert memo.fold(seqs[0], 3) is kept  # a hit keeps its entry fresh
             memo.fold(seq, 3)
-            assert len(memo._cache) <= 4
+            assert memo_structures(memo) == memo._held <= 12
         assert seqs[1] not in memo._cache
         assert list(memo._cache) == [seqs[7], seqs[8], seqs[0], seqs[9]]
         for seq in seqs:
             assert memo.fold(seq, 3) == fold(seq, 3)
-        assert len(memo._cache) == 4
+        assert list(memo._cache) == seqs[6:]
+        assert memo_structures(memo) == memo._held == 12
+
+    @pytest.mark.parametrize("budget", [40, 120])
+    def test_memo_of_mixed_n_best_keeps_to_its_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(oracle, "MAX_MEMO_STRUCTURES", budget)
+        memo = ReferenceFoldOracle()
+        rng = random.Random(21)
+        pool = [random_sequence(rng, n) for n in (14, 20, 26) for _ in range(10)]
+        expected = OrderedDict()  # seq -> (n_best, structures), by the rule
+        over = 0
+        for _ in range(150):
+            seq, n_best = rng.choice(pool), rng.choice((1, 1, 50))
+            assert memo.fold(seq, n_best) == fold(seq, n_best)
+            stored, size = expected.pop(seq, (0, 0))
+            if n_best > stored:
+                stored, size = n_best, len(fold(seq, n_best).structures)
+            expected[seq] = stored, size
+            held = sum(size for _, size in expected.values())
+            while held > budget and len(expected) > 1:
+                held -= expected.popitem(last=False)[1][1]
+            assert list(memo._cache) == list(expected)
+            assert memo_structures(memo) == memo._held == held
+            if held > budget:  # only the entry just stored, alone
+                over += 1
+                assert list(memo._cache) == [seq]
+        assert (over > 0) == (budget < 50)
+
+    def test_n_best_above_the_budget_stays_until_the_next_store(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_MEMO_STRUCTURES", 10)
+        memo = ReferenceFoldOracle()
+        seq = "GGGCCCAAAGGGCCCAAAGGGCCC"  # 38 structures
+        memo.fold("GGGAAAACCC", 1)
+        result = memo.fold(seq, 50)
+        assert len(result.structures) == 38
+        assert list(memo._cache) == [seq] and memo._held == 38
+        calls = []
+        real_fold = oracle.fold
+        monkeypatch.setattr(oracle, "fold",
+                            lambda *args: calls.append(args[:2]) or real_fold(*args))
+        assert memo.fold(seq, 50) is result
+        assert memo.fold(seq, 3) == real_fold(seq, 3)
+        assert calls == []
+        memo.fold("GGGAAAACCC", 1)
+        assert calls == [("GGGAAAACCC", 1)]
+        assert list(memo._cache) == ["GGGAAAACCC"] and memo._held == 1
 
     def test_memo_answers_smaller_n_best_without_folding(self, monkeypatch):
         rng = random.Random(12)
@@ -463,7 +518,7 @@ class TestOracleObject:
         assert calls == [(seq, 7)]
 
     def test_memo_is_safe_under_concurrent_callers(self, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 8)
+        monkeypatch.setattr(oracle, "MAX_MEMO_STRUCTURES", 8)
         memo = ReferenceFoldOracle()
         rng = random.Random(3)
         seqs = [random_sequence(rng, 12) for _ in range(24)]
@@ -491,7 +546,8 @@ class TestOracleObject:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(memo._cache) <= 8 + len(threads)
+        # every store ends within the budget, and no race made the count drift
+        assert memo_structures(memo) == memo._held <= 8
 
     def test_custom_policy_changes_space(self):
         lenient = ReferenceFoldOracle(ValidationPolicy(k=3, sigma=2, min_arc_length=4))

@@ -38,7 +38,8 @@ from pkinv.search import (
     local_search,
     perturb_arc,
 )
-from pkinv.sequences import can_pair, is_compatible, random_compatible_sequence
+from pkinv.sequences import (_unpaired_first, can_pair, is_compatible,
+                             random_compatible_sequence, sites)
 
 from .helpers import (
     PSEUDOKNOT_18,
@@ -61,6 +62,13 @@ SHARED_ORACLE_TARGETS = (
     "::::::((((::::))))::",
     "(((::[[[::)))::]]]",
     "::(((::[[[::)))::]]]::",
+)
+# The 13 campaign targets of length 22 or less.
+SHORT_CAMPAIGN_TARGETS = (
+    "(((::::)))", ":(((:::::)))", "(((:::)))::::", "(((::::::::)))",
+    "::(((:::)))::::", "(((::[[[[)))]]]]", ":::(((::::::)))::",
+    "::(((::::::::::)))", "::::::((((::::))))::", "::::::::(((::::::))):",
+    ":::::::::(((:::)))::::", "(((::[[[::)))::]]]", "::(((::[[[::)))::]]]::",
 )
 
 
@@ -421,7 +429,8 @@ class TestLocalSearch:
                 folded = random_matching(rng, target.n)
             expected = [(*where, 0) if kind == "u" else where
                         for kind, where in reference_flagged_candidates(folded, target)]
-            assert _candidate_sites(folded, target) == expected
+            ordered = sorted(sites(target), key=_unpaired_first)
+            assert _candidate_sites(folded, target, ordered) == expected
 
 
 class TestInverseFold:
@@ -503,6 +512,33 @@ class TestInverseFold:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
             "fc47dbe11bb2f9354ba38ece4c62e1810a534855e6cb1e57a964290191b5f2ff"
+        )
+
+    def test_memo_budget_keeps_every_fold_of_a_shared_batch(self, monkeypatch):
+        # the batch leaves 1,952 structures in a memo without a budget, so
+        # the budget evicts, yet every repeat still finds its entry: the
+        # fold count and the designs are those of an unbounded memo
+        calls = []
+        real_fold = oracle.fold
+        monkeypatch.setattr(oracle, "fold",
+                            lambda *args: calls.append(args[:2]) or real_fold(*args))
+        memo = ReferenceFoldOracle()
+        lines = []
+        oracle_calls = 0
+        for text in SHORT_CAMPAIGN_TARGETS:
+            for seed in range(3):
+                try:
+                    result = inverse_fold(text, memo, SearchConfig(rng_seed=seed))
+                    design = result.sequence, result.oracle_calls
+                except SearchFailed as failure:
+                    design = None, failure.oracle_calls
+                lines.append(repr(design))
+                oracle_calls += design[1]
+                assert memo._held <= oracle.MAX_MEMO_STRUCTURES
+        assert (len(calls), oracle_calls) == (709, 1071)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "fb1c68233203e3c5b223f78e7679b1c4f383e049d26e37d8ee65475e2a4709bf"
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
