@@ -463,9 +463,10 @@ class ReferenceFoldOracle:
     def fold(self, seq: str, n_best: int = 1) -> FoldResult:
         with self._lock:
             stored, result = self._cache.get(seq, (0, None))
-            if 0 < n_best <= stored:  # fold refuses an n_best below 1
+            hit = 0 < n_best <= stored  # fold refuses an n_best below 1
+            if hit:
                 self._cache.move_to_end(seq)
-        if not 0 < n_best <= stored:
+        if not hit:
             stored, result = n_best, fold(seq, n_best, self.policy, self.model)
             with self._lock:
                 # the entry of a smaller n_best, or a concurrent caller's
