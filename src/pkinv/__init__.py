@@ -24,8 +24,8 @@ _HOMES = {
         "oracle"),
     **dict.fromkeys(
         ("InvalidTarget", "InvResult", "SearchConfig", "SearchFailed",
-         "SearchTrace", "adjust_sequence", "competitor_census", "inverse_fold",
-         "local_search", "mutate_against_competitors"),
+         "adjust_sequence", "competitor_census", "inverse_fold", "local_search",
+         "mutate_against_competitors"),
         "search"),
     **dict.fromkeys(
         ("PAIRS", "can_pair", "compatible_distance", "compatible_neighbors",

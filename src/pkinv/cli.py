@@ -104,7 +104,7 @@ def _run_trial(
         record["reason"] = str(outcome)
     record["_elapsed"] = time.perf_counter() - started
     if want_trace:
-        record["_trace"] = [asdict(r) for r in outcome.trace.records]
+        record["_trace"] = [asdict(r) for r in outcome.trace]
     return record
 
 
@@ -222,7 +222,7 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
             model, fmt, jobs, trace_file):
     """Find sequences folding into the target; batch mode prints a report."""
     from . import search  # noqa: F401  loaded before the fork, never by a worker
-    from .oracle import ReferenceFoldOracle
+    from .oracle import fold
     from .structure import (ValidationPolicy, parse_structure, structure_distance,
                             validate_target)
 
@@ -248,7 +248,6 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
             click.echo(f"  {violation}")
         ctx.exit(EXIT_INVALID)
 
-    verifier = ReferenceFoldOracle(policy, model)
     run_trial = functools.partial(_run_trial, target_text, seed, n_best, policy,
                                   model, trace_file is not None)
     # at most one worker per trial and per CPU; without os.fork, this one
@@ -265,7 +264,7 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
 
     for record in records:
         if record["success"]:
-            refolded = verifier.fold(record["sequence"], 1).mfe
+            refolded = fold(record["sequence"], 1, policy, model).mfe
             if structure_distance(refolded, parsed) != 0:
                 click.echo("internal error: reported success failed re-verification",
                            err=True)
@@ -321,16 +320,15 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
 @click.pass_context
 def fold_cmd(ctx, sequence, n_best, k, sigma, min_arc_length, model):
     """Print the n best structures for a sequence as TSV."""
-    from .oracle import ReferenceFoldOracle
+    from .oracle import fold
     from .structure import ValidationPolicy, serialize_structure
 
     if not sequence:
         click.echo("empty sequence", err=True)
         ctx.exit(EXIT_INVALID)
     try:
-        oracle = ReferenceFoldOracle(ValidationPolicy(k, sigma, min_arc_length),
-                                     model)
-        result = oracle.fold(sequence, n_best)
+        result = fold(sequence, n_best, ValidationPolicy(k, sigma, min_arc_length),
+                      model)
         lines = [f"{serialize_structure(struct)}\t{energy:g}"
                  for struct, energy in zip(result.structures, result.energies)]
     except ValueError as exc:

@@ -17,6 +17,7 @@ runs, and the running union of everything seen so far.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, groupby
 from typing import NamedTuple, Sequence
 
 from .structure import Arc, Structure, _relations, _stack_arcs, stacks
@@ -308,11 +309,10 @@ def build_intervals(target: Structure) -> IntervalPlan:
     outer arcs, and a pseudoknot's hull is no member's outer arc, since
     that member would cross no other), and of two spans that do not nest
     the one starting further left also ends further left, so sorting by
-    (right end, -left end) gives that order.  Each component
-    emits its span, its padded span when the padding added anything, and
-    the running hull of all padded spans; consecutive duplicates are
-    dropped.  The final interval covers [1, n]; the empty chain (n = 0)
-    has no interval.
+    (right end, -left end) gives that order.  Each component emits its
+    span, its padded span and the running hull of all padded spans;
+    consecutive duplicates are dropped.  The final interval covers [1, n];
+    the empty chain (n = 0) has no interval.
     """
     sts = stacks(target)
     crossing, inside = _relations(target.n, sts)
@@ -330,25 +330,9 @@ def build_intervals(target: Structure) -> IntervalPlan:
     components = tuple(
         LoopComponent(kind, span, _padded(span, target)) for kind, span in found
     )
-    emitted: list[tuple[int, int]] = []
-
-    def emit(interval: tuple[int, int]) -> None:
-        if not emitted or emitted[-1] != interval:
-            emitted.append(interval)
-
-    hull: tuple[int, int] | None = None
-    for comp in components:
-        emit(comp.span)
-        if comp.padded_span != comp.span:
-            emit(comp.padded_span)
-        if hull is None:
-            hull = comp.padded_span
-        else:
-            hull = (
-                min(hull[0], comp.padded_span[0]),
-                max(hull[1], comp.padded_span[1]),
-            )
-        emit(hull)
-    if target.n:
-        emit((1, target.n))
-    return IntervalPlan(components, tuple(emitted))
+    hulls = accumulate((c.padded_span for c in components),
+                       lambda h, p: (min(h[0], p[0]), max(h[1], p[1])))
+    ladder = [(c.span, c.padded_span, hull) for c, hull in zip(components, hulls)]
+    ladder.append(((1, target.n),) if target.n else ())
+    intervals = tuple(span for span, _ in groupby(chain.from_iterable(ladder)))
+    return IntervalPlan(components, intervals)

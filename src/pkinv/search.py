@@ -11,7 +11,7 @@ sequence re-folds to the target arc for arc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import ClassVar, NamedTuple
 
@@ -50,7 +50,7 @@ class SearchFailed(RuntimeError):
     def __init__(
         self,
         target: Structure,
-        trace: "SearchTrace",
+        trace: list[TraceRecord],
         oracle_calls: int,
         reason: str | None = None,
     ):
@@ -99,16 +99,6 @@ class TraceRecord:
     interval: tuple[int, int] | None = None
 
 
-@dataclass
-class SearchTrace:
-    """Append-only record of the search, replayable from the seed."""
-
-    records: list[TraceRecord] = field(default_factory=list)
-
-    def add(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
-
 class CompetitorCensus(NamedTuple):
     """What the competitors of a round say about each position 0..n.
 
@@ -133,7 +123,7 @@ class InvResult:
     sequence: str
     target: Structure
     oracle_calls: int
-    trace: SearchTrace
+    trace: list[TraceRecord]
 
 
 class _CountingOracle:
@@ -293,7 +283,7 @@ def adjust_sequence(
     oracle,
     config: SearchConfig,
     rng: Random,
-    trace: SearchTrace,
+    trace: list[TraceRecord],
 ) -> str:
     """Globally adjust the start sequence against competing folds.
 
@@ -301,10 +291,12 @@ def adjust_sequence(
     track the best sequence seen, take the competitor census, and mutate.  A
     mutation is accepted when its fold lands within the distance slack of
     the best distance; otherwise up to mutation_retries mutations are
-    drawn and the closest one is kept.  When the rounds run out the best
+    drawn and the closest one is kept.  An accepted mutation is closer
+    than every attempt before it, which all missed the slack, so the round
+    always keeps the closest attempt.  When the rounds run out the best
     sequence seen is returned.
     """
-    best_distance = None
+    best_distance = math.inf
     best_seq = start
     current = start
     rounds = config.rounds_for(target.n)
@@ -312,36 +304,31 @@ def adjust_sequence(
         result = oracle.fold(current, config.n_best)
         distance = structure_distance(result.mfe, target)
         if distance == 0:
-            trace.add(TraceRecord("adjust", round_index, 0, 0))
+            trace.append(TraceRecord("adjust", round_index, 0, 0))
             return current
-        if best_distance is None or distance < best_distance:
+        if distance < best_distance:
             best_distance = distance
             best_seq = current
         census = competitor_census(current, result, target)
         attempts: list[tuple[int, int, MutationOutcome]] = []
-        accepted = False
-        uphill = False
         for attempt in range(config.mutation_retries):
             outcome = mutate_against_competitors(current, target, census, rng)
             refold = oracle.fold(outcome.sequence, 1)
             attempt_distance = structure_distance(refold.mfe, target)
             attempts.append((attempt_distance, attempt, outcome))
             if attempt_distance <= best_distance + config.distance_slack:
-                current = outcome.sequence
-                accepted = True
-                uphill = attempt_distance > best_distance
                 break
-        if not accepted:
-            outcome = min(attempts)[2]  # the attempt index breaks distance ties
-            current = outcome.sequence
-        trace.add(
+        kept, _, outcome = min(attempts)  # the attempt index breaks distance ties
+        current = outcome.sequence
+        trace.append(
             TraceRecord(
                 "adjust",
                 round_index,
                 distance,
                 best_distance,
                 mutations=len(outcome.mutated_positions),
-                accepted_uphill=accepted and uphill,
+                accepted_uphill=(
+                    best_distance < kept <= best_distance + config.distance_slack),
                 fallback_positions=outcome.fallback_positions,
             )
         )
@@ -366,7 +353,7 @@ def local_search(
     oracle,
     config: SearchConfig,
     rng: Random,
-    trace: SearchTrace,
+    trace: list[TraceRecord],
 ) -> str:
     """Interval-wise local search for a sequence folding into the target.
 
@@ -386,21 +373,20 @@ def local_search(
         target_sites = sorted(sites(target_sub), key=_unpaired_first)
         calls = 0
         passes = 0
+        best_distance = math.inf
         while calls < cap:
             sub = seq[lo - 1 : hi]
             result = oracle.fold(sub, 1)
             calls += 1
             passes += 1
             distance = structure_distance(result.mfe, target_sub)
-            best_distance = (
-                distance if passes == 1 else min(best_distance, distance)
-            )
+            best_distance = min(best_distance, distance)
             if distance == 0:
                 break
             candidates = _candidate_sites(result.mfe, target_sub, target_sites)
             rng.shuffle(candidates)
             ties: list[tuple[float, str]] = []
-            moved = False
+            chosen = None
             uphill = False
             for w, v in candidates:
                 if calls >= cap:
@@ -413,8 +399,7 @@ def local_search(
                 candidate_distance = structure_distance(refold.mfe, target_sub)
                 if candidate_distance < best_distance:
                     best_distance = candidate_distance
-                    seq = seq[: lo - 1] + candidate + seq[hi:]
-                    moved = True
+                    chosen = candidate
                     break
                 if (
                     best_distance
@@ -422,16 +407,15 @@ def local_search(
                     < best_distance + config.uphill_margin
                     and rng.random() < config.uphill_probability
                 ):
-                    seq = seq[: lo - 1] + candidate + seq[hi:]
-                    moved = True
+                    chosen = candidate
                     uphill = True
                     break
                 if candidate_distance == best_distance:
                     ties.append((refold.mfe_energy, candidate))
-            if not moved and ties:
-                ties.sort()
-                seq = seq[: lo - 1] + ties[0][1] + seq[hi:]
-            trace.add(
+            if chosen is None:  # the lowest-energy tie, or no move
+                chosen = min(ties, default=(0.0, sub))[1]
+            seq = seq[: lo - 1] + chosen + seq[hi:]
+            trace.append(
                 TraceRecord(
                     "local",
                     passes,
@@ -471,7 +455,7 @@ def inverse_fold(
 
     rng = Random(config.rng_seed)
     counting = _CountingOracle(oracle)
-    trace = SearchTrace()
+    trace: list[TraceRecord] = []
     start = random_compatible_sequence(target, rng)
     plan = build_intervals(target)
     try:

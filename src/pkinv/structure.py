@@ -62,11 +62,6 @@ class Arc(NamedTuple):
     def length(self) -> int:
         return self.j - self.i
 
-    def crosses(self, other: Arc) -> bool:
-        """The arcs cross: i1 < i2 < j1 < j2 or vice versa."""
-        return (self.i < other.i < self.j < other.j
-                or other.i < self.i < other.j < self.j)
-
     def nests_inside(self, other: Arc) -> bool:
         """This arc nests strictly inside other: other.i < i < j < other.j."""
         return other.i < self.i and self.j < other.j
@@ -83,7 +78,7 @@ class Structure:
 
     n: int
     arcs: tuple[Arc, ...]
-    _partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arcs = tuple(sorted(Arc(*a) for a in self.arcs))
@@ -97,7 +92,7 @@ class Structure:
                     raise ValueError(f"position {w} is paired more than once")
             partner[arc.i] = arc.j
             partner[arc.j] = arc.i
-        object.__setattr__(self, "_partner", tuple(partner))
+        object.__setattr__(self, "partner", tuple(partner))
 
     @classmethod
     def _trusted(cls, n: int, arcs: tuple[Arc, ...]) -> "Structure":
@@ -113,22 +108,18 @@ class Structure:
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "_partner", tuple(partner))
+        object.__setattr__(self, "partner", tuple(partner))
         return self
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Structure":
         return cls(n, tuple(Arc(min(i, j), max(i, j)) for i, j in pairs))
 
-    @property
-    def partner(self) -> tuple[int, ...]:
-        return self._partner
-
     def partner_of(self, w: int) -> int:
         """Paired position of w, or 0 if w is unpaired."""
         if not 1 <= w <= self.n:
             raise OutOfRange(f"position {w} outside [1, {self.n}]")
-        return self._partner[w]
+        return self.partner[w]
 
     def __str__(self) -> str:
         try:
@@ -194,26 +185,58 @@ def parse_structure(text: str) -> Structure:
 def serialize_structure(s: Structure) -> str:
     """Render a Structure as a dot-bracket string.
 
-    Bracket families are assigned by greedy coloring of the arc-crossing
-    conflict graph in sorted arc order, trying (), [], {} in that order,
-    so output is deterministic and parse(serialize(s)) == s.
+    Every arc takes its stack's family.  Stacks take the first families,
+    in stack order and trying (), [], {} in that order, such that no two
+    crossing stacks share one, so output is deterministic and
+    parse(serialize(s)) == s whenever three families can write s.
     """
-    family: dict[Arc, int] = {}
-    for arc in s.arcs:
-        used = {family[other] for other in family if other.crosses(arc)}
-        for fam in range(len(FAMILIES)):
-            if fam not in used:
-                family[arc] = fam
-                break
-        else:
-            raise TooManyFamilies(
-                f"arc {arc} conflicts with all {len(FAMILIES)} bracket families"
-            )
+    triples = stacks(s)
+    family = _families(_relations(s.n, triples)[0])
     chars = [UNPAIRED_CHAR] * s.n
-    for arc, fam in family.items():
-        chars[arc.i - 1] = FAMILIES[fam][0]
-        chars[arc.j - 1] = FAMILIES[fam][1]
+    for triple, fam in zip(triples, family):
+        for i, j in _stack_arcs(*triple):
+            chars[i - 1], chars[j - 1] = FAMILIES[fam]
     return "".join(chars)
+
+
+def _families(crossing: list[int]) -> list[int]:
+    """The first family of each stack, by backtracking in stack order,
+    such that no two crossing stacks share one, per the crossing masks.
+
+    A stack left without a family jumps back to the latest earlier stack
+    that it, or a stack that jumped to it, crosses (graph-based
+    backjumping): the stacks in between cannot free it.  Only choices
+    without a solution are skipped, so the first assignment is plain
+    backtracking's, and greedy colouring's wherever that succeeds.
+    Raises TooManyFamilies when there is no assignment.
+    """
+    family = [-1] * len(crossing)  # -1: not yet tried
+    held = [0] * len(FAMILIES)  # bit b: stack b holds the family
+    blame = [0] * len(crossing)  # earlier stacks whose change may free c
+    c = 0
+    while c < len(crossing):
+        before = crossing[c] & ((1 << c) - 1)
+        if family[c] < 0:
+            blame[c] = before
+        else:
+            held[family[c]] ^= 1 << c
+        family[c] += 1
+        while family[c] < len(FAMILIES) and held[family[c]] & before:
+            family[c] += 1
+        if family[c] < len(FAMILIES):
+            held[family[c]] |= 1 << c
+            c += 1
+            continue
+        if not blame[c]:
+            raise TooManyFamilies(
+                f"{len(FAMILIES)} bracket families cannot keep crossing stacks apart")
+        b = blame[c].bit_length() - 1
+        blame[b] |= blame[c] ^ 1 << b
+        for d in range(b + 1, c):
+            held[family[d]] ^= 1 << d
+        family[b + 1 : c + 1] = [-1] * (c - b)
+        c = b
+    return family
 
 
 # folds of one length expand the same stacks again and again

@@ -16,6 +16,7 @@ from random import Random
 
 import pkinv
 from pkinv import (
+    Arc,
     Structure,
     ValidationPolicy,
     crossing_number,
@@ -164,6 +165,11 @@ def naive_valid_structures(
 
     extend(1)
     return tuple(results)
+
+
+def arcs_cross(a: Arc, b: Arc) -> bool:
+    """The arcs cross: i1 < i2 < j1 < j2 or vice versa."""
+    return a.i < b.i < a.j < b.j or b.i < a.i < b.j < a.j
 
 
 def crossing_graph_is_bipartite(s: Structure) -> bool:

@@ -321,6 +321,27 @@ class TestInverse:
         assert result.exit_code == 2
         assert "Traceback" not in result.output
 
+    def test_target_with_illegal_character_exits_2(self):
+        result = run("inverse", "--target", "(((..x.)))")
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "incorrect structure", "illegal character 'x' at position 6"]
+
+    def test_success_that_fails_re_verification_exits_70(self, monkeypatch):
+        def misfolding_trial(target_text, seed, n_best, policy, model,
+                             want_trace, trial):
+            return {
+                "trial": trial, "seed": seed + trial, "target": target_text,
+                "success": True, "sequence": "AAAAAAAAAA", "oracle_calls": 1,
+                "_elapsed": 0.0,
+            }
+
+        monkeypatch.setattr(cli, "_run_trial", misfolding_trial)
+        result = run("inverse", "--target", "(((....)))")
+        assert result.exit_code == 70
+        assert result.stdout == ""
+        assert "reported success failed re-verification" in result.stderr
+
     def test_policy_option_error_is_not_a_target_error(self):
         result = run("inverse", "--target", "(((....)))", "--k", "1")
         assert result.exit_code == 2

@@ -22,6 +22,7 @@ from .helpers import (
     ORDERED_COMPONENTS_65,
     PSEUDOKNOT_18,
     TWO_LOOP_10,
+    arcs_cross,
     random_matching,
     random_valid_structure,
 )
@@ -163,7 +164,7 @@ class TestDecompose:
             members = sorted({a for a in loop.arcs})
             # dependency graph of the arc set is connected
             adjacency = {
-                a: {b for b in members if a.crosses(b)} for a in members
+                a: {b for b in members if arcs_cross(a, b)} for a in members
             }
             seen = {members[0]}
             todo = [members[0]]
@@ -179,9 +180,9 @@ class TestDecompose:
                 witnesses = [
                     other
                     for other in outer
-                    if stack.crosses(other)
+                    if arcs_cross(stack, other)
                     and not any(
-                        third.nests_inside(stack) and third.crosses(other)
+                        third.nests_inside(stack) and arcs_cross(third, other)
                         for third in outer
                         if third != stack
                     )

@@ -81,6 +81,10 @@ class TestEnumerate:
         for n in range(0, 9):
             assert [s.arcs for s in enumerate_structures(n)] == [()]
 
+    def test_negative_length_is_refused(self):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            next(enumerate_structures(-1))
+
     def test_counts_match_independent_enumerator(self):
         for n in (9, 10, 11, 12, 13, 14):
             mine = sorted(s.arcs for s in enumerate_structures(n))

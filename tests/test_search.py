@@ -30,7 +30,6 @@ from pkinv.search import (
     InvalidTarget,
     MutationOutcome,
     SearchFailed,
-    SearchTrace,
     _candidate_sites,
     _CountingOracle,
     adjust_sequence,
@@ -316,61 +315,78 @@ class TestSearchConfig:
             SearchConfig(mutation_retries=3)
 
 
+def scripted_adjust(monkeypatch, arcs_missing: dict[int, int]) -> list:
+    """The trace of adjust_sequence on a 16-nt hairpin with scripted folds.
+
+    Sequence 0 is the start, and the t-th mutation of every round draws
+    sequence t + 1 of 5, with t + 1 mutated positions and fallback t.
+    Sequence k folds to the hairpin without arcs_missing[k] of its 6 arcs,
+    or without all of them; each missing arc counts 2 in the distance.
+    The phase returns the start, the best sequence it folds.
+    """
+    target = parse_structure("((((((....))))))")
+    seqs = ["A" * t + "C" * (16 - t) for t in range(6)]
+    folds = {seqs[k]: Structure(16, target.arcs[:6 - m])
+             for k, m in arcs_missing.items()}
+
+    class ScriptedOracle:
+        def fold(self, seq, n_best):
+            return FoldResult((folds.get(seq, Structure(16, ())),), (0.0,))
+
+    scripted = itertools.cycle(
+        MutationOutcome(seq, tuple(range(t + 1)), (t,))
+        for t, seq in enumerate(seqs[1:])
+    )
+    monkeypatch.setattr(
+        pkinv.search, "mutate_against_competitors", lambda *args: next(scripted)
+    )
+    trace = []
+    out = adjust_sequence(seqs[0], target, ScriptedOracle(), SearchConfig(rng_seed=0),
+                          random.Random(0), trace)
+    assert out == seqs[0]
+    return trace
+
+
 class TestAdjust:
     def test_immediate_return_when_start_folds_to_target(self):
         oracle = _CountingOracle(ReferenceFoldOracle())
         config = SearchConfig(n_best=10, rng_seed=0)
-        trace = SearchTrace()
+        trace = []
         out = adjust_sequence(
             "GGGAAAACCC", HAIRPIN, oracle, config, random.Random(0), trace
         )
         assert out == "GGGAAAACCC"
-        assert len(trace.records) == 1 and trace.records[0].distance == 0
+        assert len(trace) == 1 and trace[0].distance == 0
 
     def test_round_count_is_bounded(self):
         oracle = _CountingOracle(ReferenceFoldOracle())
         config = SearchConfig(n_best=10, rng_seed=5)
-        trace = SearchTrace()
+        trace = []
         target = parse_structure(PSEUDOKNOT_18)
         rng = random.Random(5)
         start = random_compatible_sequence(target, rng)
         adjust_sequence(start, target, oracle, config, rng, trace)
-        rounds = [r for r in trace.records if r.phase == "adjust"]
+        rounds = [r for r in trace if r.phase == "adjust"]
         assert 1 <= len(rounds) <= 3  # ceil(sqrt(18)/2) = 3
         assert oracle.calls <= 3 * (1 + config.mutation_retries)
 
     def test_round_without_acceptance_records_the_kept_attempt(self, monkeypatch):
         # the start folds 2 positions off the target; every attempt lands
         # beyond the slack (8 or 12 off), and the closest is the second
-        target = parse_structure("((((((....))))))")
-        start, *attempts = ("A" * t + "C" * (16 - t) for t in range(6))
-
-        def missing(arcs):
-            return Structure(16, target.arcs[:6 - arcs])
-
-        folds = {start: missing(1), attempts[1]: missing(4)}
-
-        class ScriptedOracle:
-            def fold(self, seq, n_best):
-                return FoldResult((folds.get(seq, missing(6)),), (0.0,))
-
-        scripted = itertools.cycle(
-            MutationOutcome(seq, tuple(range(t + 1)), (t,))
-            for t, seq in enumerate(attempts)
-        )
-        monkeypatch.setattr(
-            pkinv.search, "mutate_against_competitors", lambda *args: next(scripted)
-        )
-        trace = SearchTrace()
-        out = adjust_sequence(
-            start, target, ScriptedOracle(), SearchConfig(rng_seed=0),
-            random.Random(0), trace,
-        )
-        assert out == start
-        first = trace.records[0]
+        first = scripted_adjust(monkeypatch, {0: 1, 2: 4})[0]
         assert (first.distance, first.best_distance) == (2, 2)
         assert first.mutations == 2 and first.fallback_positions == (1,)
         assert not first.accepted_uphill
+
+    def test_accepted_uphill_attempt_is_kept(self, monkeypatch):
+        # the start folds 2 positions off the target; the first attempt
+        # lands beyond the slack (12 off), the second within it (6 off),
+        # so the round keeps the second and marks the move uphill
+        first, second = scripted_adjust(monkeypatch, {0: 1, 2: 3})
+        assert (first.distance, first.best_distance) == (2, 2)
+        assert first.mutations == 2 and first.fallback_positions == (1,)
+        assert first.accepted_uphill
+        assert second.distance == 6  # the second round folds the kept attempt
 
 
 class TestLocalSearch:
@@ -383,7 +399,7 @@ class TestLocalSearch:
             rng = random.Random(seed)
             config = SearchConfig(rng_seed=seed)
             counting = _CountingOracle(oracle)
-            trace = SearchTrace()
+            trace = []
             start = random_compatible_sequence(target, rng)
             middle = adjust_sequence(start, target, counting, config, rng, trace)
             final = local_search(middle, target, plan, counting, config, rng, trace)
@@ -397,7 +413,7 @@ class TestLocalSearch:
         counting = _CountingOracle(oracle)
         out = local_search(
             "GGGAAAACCC", HAIRPIN, plan, counting,
-            SearchConfig(rng_seed=0), random.Random(0), SearchTrace(),
+            SearchConfig(rng_seed=0), random.Random(0), [],
         )
         assert out == "GGGAAAACCC"
         assert counting.calls == 1
@@ -410,7 +426,7 @@ class TestLocalSearch:
         config = SearchConfig(rng_seed=2)
         start = random_compatible_sequence(target, rng)
         final = local_search(
-            start, target, plan, _CountingOracle(oracle), config, rng, SearchTrace()
+            start, target, plan, _CountingOracle(oracle), config, rng, []
         )
         assert is_compatible(final, target)
 
@@ -494,7 +510,7 @@ class TestInverseFold:
             PSEUDOKNOT_18, ReferenceFoldOracle(), SearchConfig(rng_seed=12)
         )
         assert first.sequence == second.sequence
-        assert first.trace.records == second.trace.records
+        assert first.trace == second.trace
         assert first.oracle_calls == second.oracle_calls
 
     def test_designs_with_a_shared_oracle_are_pinned(self):
@@ -562,6 +578,12 @@ def test_bench_span_hooks_name_search_globals():
     spec.loader.exec_module(spans)
     missing = [name for name in spans.SEARCH_HOOKS if not hasattr(pkinv.search, name)]
     assert missing == []
+    # the traced mode reads the order of these spans inside each phase, so
+    # the phases must call them through the module globals it patches
+    called = {name for phase in (adjust_sequence, local_search)
+              for name in phase.__code__.co_names}
+    assert {"mutate_against_competitors", "structure_distance", "TraceRecord",
+            "restrict_structure"} <= called & set(spans.SEARCH_HOOKS)
 
 
 def test_bench_reads_distance_slack_from_a_config():

@@ -189,6 +189,10 @@ class TestCompatibleDistance:
         with pytest.raises(IncompatibleInput):
             compatible_distance("GG", "GC", s)
 
+    def test_requires_equal_lengths(self):
+        with pytest.raises(LengthMismatch, match="different lengths"):
+            compatible_distance("ACGU", "ACG", Structure(4, ()))
+
     @pytest.mark.parametrize(
         "n,pairs",
         [(4, []), (6, [(1, 6)]), (8, [(1, 5)]), (8, [(1, 5), (2, 8)])],

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +23,14 @@ from pkinv.structure import (
     IllegalCharacter,
     LengthMismatch,
     OutOfRange,
+    TooManyFamilies,
     UnbalancedBracket,
+    _relations,
     _stack_arcs,
+    restrict_structure,
 )
 
-from .helpers import PSEUDOKNOT_18, random_valid_structure
+from .helpers import PSEUDOKNOT_18, arcs_cross, random_matching, random_valid_structure
 
 HAIRPIN = "(((....)))"
 
@@ -97,6 +101,61 @@ class TestSerialize:
     def test_round_trip(self, s):
         assert parse_structure(serialize_structure(s)) == s
 
+    @pytest.mark.parametrize("text", [
+        "([[)({)(){](}}])",
+        # a target the default policy accepts
+        ":::".join(c * 3 for c in "([[)({)(){](}}])"),
+    ])
+    def test_round_trip_where_greedy_colouring_fails(self, text):
+        # colouring arcs greedily in sorted order leaves the last arc no
+        # family, though three families write the structure
+        s = parse_structure(text)
+        assert crossing_number(s) == 2
+        assert parse_structure(serialize_structure(s)) == s
+        assert str(s) == serialize_structure(s)
+
+    def test_equals_the_first_colouring_of_the_stacks(self):
+        # the first assignment of families to stacks, in stack order, that
+        # keeps crossing stacks apart, or TooManyFamilies when there is none
+        rng = random.Random(3)
+        checked = 0
+        while checked < 1500:
+            s = random_matching(rng, rng.randint(0, 30))
+            triples = stacks(s)
+            if len(triples) > 9:
+                continue
+            checked += 1
+            crossing, _ = _relations(s.n, triples)
+            edges = [(a, b) for a in range(len(triples)) for b in range(a)
+                     if crossing[a] >> b & 1]
+            assignments = itertools.product(range(3), repeat=len(triples))
+            first = next((families for families in assignments
+                          if all(families[a] != families[b] for a, b in edges)), None)
+            if first is None:
+                with pytest.raises(TooManyFamilies):
+                    serialize_structure(s)
+                continue
+            chars = [":"] * s.n
+            for triple, family in zip(triples, first):
+                for i, j in _stack_arcs(*triple):
+                    chars[i - 1], chars[j - 1] = ("()", "[]", "{}")[family]
+            assert serialize_structure(s) == "".join(chars)
+
+    def test_dead_end_after_independent_pseudoknots_fails_fast(self):
+        # four mutually crossing stacks after eight H-type pseudoknots:
+        # plain backtracking would try all 6 ** 8 colourings of the
+        # pseudoknots before giving up
+        head = parse_structure("(((::[[[::)))::]]]::" * 8)
+        k4 = [(head.n + 1 + 3 * c + t, head.n + 15 + 3 * c - t)
+              for c in range(4) for t in range(3)]
+        s = Structure(head.n + 24, head.arcs + tuple(Arc(*a) for a in k4))
+        assert crossing_number(s) == 4
+        started = time.perf_counter()
+        with pytest.raises(TooManyFamilies, match="bracket families"):
+            serialize_structure(s)
+        assert time.perf_counter() - started < 1.0
+        assert str(s) == f"<Structure n={s.n} arcs=60>"
+
 
 class TestCrossingNumber:
     def test_empty(self):
@@ -123,7 +182,7 @@ class TestCrossingNumber:
             r
             for r in range(len(s.arcs) + 1)
             for group in itertools.combinations(s.arcs, r)
-            if all(a.crosses(b) for a, b in itertools.combinations(group, 2))
+            if all(arcs_cross(a, b) for a, b in itertools.combinations(group, 2))
         ]
         assert crossing_number(s) == max(mutual)
 
@@ -165,6 +224,10 @@ class TestValidate:
     def test_policy_invariants(self):
         with pytest.raises(ValueError):
             ValidationPolicy(k=1)
+        with pytest.raises(ValueError, match="sigma must be at least 1"):
+            ValidationPolicy(sigma=0)
+        with pytest.raises(ValueError, match="min_arc_length must be at least 1"):
+            ValidationPolicy(min_arc_length=0)
 
     @settings(max_examples=100, deadline=None)
     @given(structures())
@@ -208,6 +271,17 @@ class TestDistance:
         )
         if structure_distance(a, b) == 0:
             assert a == b
+
+
+class TestRestrict:
+    def test_window_is_shifted_and_drops_leaving_arcs(self):
+        s = parse_structure(PSEUDOKNOT_18)
+        assert restrict_structure(s, 1, 13) == parse_structure("(((:::::::)))")
+
+    @pytest.mark.parametrize("lo,hi", [(0, 5), (3, 19), (6, 5)])
+    def test_window_outside_the_positions(self, lo, hi):
+        with pytest.raises(OutOfRange, match=f"window \\[{lo}, {hi}\\]"):
+            restrict_structure(parse_structure(PSEUDOKNOT_18), lo, hi)
 
 
 class TestPartnerAccess:
