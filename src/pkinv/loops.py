@@ -240,44 +240,29 @@ def decompose_loops(s: Structure) -> tuple[Loop, ...]:
     for arc in arcs:
         if arc in pk_arcs:
             continue
-        inside = [c for c in arcs if c.nests_inside(arc)]
-        children = sorted(
-            c
-            for c in inside
-            if not any(c.nests_inside(other) for other in inside if other != c)
-        )
-        gap_positions = [
-            w
-            for w in range(arc.i + 1, arc.j)
-            if partner[w] == 0 and not any(c.i <= w <= c.j for c in children)
-        ]
-        intervals = _unpaired_runs(gap_positions)
-        claimed.update(gap_positions)
-        if not children:
-            loops.append(Loop(HAIRPIN, (arc,), intervals, arc))
-        elif len(children) == 1:
-            loops.append(Loop(INTERIOR, (arc, children[0]), intervals, arc))
-        else:
-            loops.append(Loop(MULTI, (arc, *children), intervals, arc))
+        # reach is the furthest end of the nested arcs scanned so far: a nested
+        # arc ending beyond it is a child, an unpaired position beyond it a gap
+        children: list[Arc] = []
+        gaps: list[int] = []
+        reach = arc.i
+        for w in range(arc.i + 1, arc.j):
+            p = partner[w]
+            if p == 0 and w > reach:
+                gaps.append(w)
+            elif w < p < arc.j and p > reach:
+                children.append(Arc(w, p))
+                reach = p
+        claimed.update(gaps)
+        kind = MULTI if len(children) > 1 else INTERIOR if children else HAIRPIN
+        loops.append(Loop(kind, (arc, *children), _unpaired_runs(gaps), arc))
 
     # Pseudoknot loops claim the leftover unpaired positions inside their
     # span; with nested pseudoknots the innermost span wins.
-    spans = [
-        (min(a.i for a in p_arcs), max(a.j for a in p_arcs))
-        for p_arcs in group_arcs
-    ]
-    order = sorted(
-        range(len(group_arcs)),
-        key=lambda g: (spans[g][1] - spans[g][0], spans[g][0]),
-    )
-    for g in order:
-        p_arcs = group_arcs[g]
-        lo, hi = spans[g]
-        mine = [
-            w
-            for w in range(lo + 1, hi)
-            if partner[w] == 0 and w not in claimed
-        ]
+    for p_arcs in sorted(
+        group_arcs, key=lambda g: (max(a.j for a in g) - g[0].i, g[0].i)
+    ):
+        lo, hi = p_arcs[0].i, max(a.j for a in p_arcs)
+        mine = [w for w in range(lo + 1, hi) if partner[w] == 0 and w not in claimed]
         claimed.update(mine)
         loops.append(Loop(PSEUDOKNOT, p_arcs, _unpaired_runs(mine), None))
 

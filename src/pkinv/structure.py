@@ -62,10 +62,6 @@ class Arc(NamedTuple):
     def length(self) -> int:
         return self.j - self.i
 
-    def nests_inside(self, other: Arc) -> bool:
-        """This arc nests strictly inside other: other.i < i < j < other.j."""
-        return other.i < self.i and self.j < other.j
-
 
 @dataclass(frozen=True)
 class Structure:

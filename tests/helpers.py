@@ -172,6 +172,11 @@ def arcs_cross(a: Arc, b: Arc) -> bool:
     return a.i < b.i < a.j < b.j or b.i < a.i < b.j < a.j
 
 
+def nests_inside(a: Arc, b: Arc) -> bool:
+    """Arc a nests strictly inside arc b: b.i < a.i < a.j < b.j."""
+    return b.i < a.i and a.j < b.j
+
+
 def crossing_graph_is_bipartite(s: Structure) -> bool:
     """Whether two colours can tell crossing stacks of s apart, that is,
     whether two bracket families can write s.  Stacks are found from the

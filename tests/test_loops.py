@@ -23,6 +23,7 @@ from .helpers import (
     PSEUDOKNOT_18,
     TWO_LOOP_10,
     arcs_cross,
+    nests_inside,
     random_matching,
     random_valid_structure,
 )
@@ -44,13 +45,21 @@ class TestCrossingSets:
         s = random_valid_structure(random.Random(seed), n)
         arcs = s.arcs
         for a in arcs:
-            assert not a.nests_inside(a)
+            assert not nests_inside(a, a)
             for b in arcs:
-                if a.nests_inside(b):
-                    assert not b.nests_inside(a)
+                if nests_inside(a, b):
+                    assert not nests_inside(b, a)
                 for c in arcs:
-                    if a.nests_inside(b) and b.nests_inside(c):
-                        assert a.nests_inside(c)
+                    if nests_inside(a, b) and nests_inside(b, c):
+                        assert nests_inside(a, c)
+
+
+def pinned_structures() -> list[Structure]:
+    """Every valid structure up to n = 16, then 2,000 unvalidated matchings."""
+    rng = random.Random(2010)
+    structures = [s for n in range(17) for s in enumerate_structures(n)]
+    structures += [random_matching(rng, rng.randint(0, 60)) for _ in range(2000)]
+    return structures
 
 
 def partition_signature(s: Structure):
@@ -124,6 +133,19 @@ class TestDecompose:
         )
         assert pk.intervals == ((8, 9), (21, 27))
 
+    def test_decompositions_are_pinned(self):
+        structures = pinned_structures()
+        digest = hashlib.sha256()
+        for s in structures:
+            digest.update(json.dumps([
+                [lp.kind, lp.arcs, lp.intervals, lp.closing_arc]
+                for lp in decompose_loops(s)
+            ]).encode() + b"\n")
+        assert len(structures) == 2390
+        assert digest.hexdigest() == (
+            "44b65c74c08457d5b2a962f6e08fe2417d4d4202b400fe9e2b110f6b50f06418"
+        )
+
     @settings(max_examples=150, deadline=None)
     @given(seeds(), st.integers(10, 28))
     def test_partition_covers_arcs_and_unpaired(self, seed, n):
@@ -182,7 +204,7 @@ class TestDecompose:
                     for other in outer
                     if arcs_cross(stack, other)
                     and not any(
-                        third.nests_inside(stack) and arcs_cross(third, other)
+                        nests_inside(third, stack) and arcs_cross(third, other)
                         for third in outer
                         if third != stack
                     )
@@ -299,10 +321,7 @@ class TestOrderAndIntervals:
         assert sorted((c.kind, c.span) for c in components) == sorted(expected)
 
     def test_ladders_are_pinned(self):
-        # every valid structure up to n = 16, then unvalidated matchings
-        rng = random.Random(2010)
-        structures = [s for n in range(17) for s in enumerate_structures(n)]
-        structures += [random_matching(rng, rng.randint(0, 60)) for _ in range(2000)]
+        structures = pinned_structures()
         digest = hashlib.sha256()
         for s in structures:
             plan = build_intervals(s)
