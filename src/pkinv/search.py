@@ -294,7 +294,7 @@ def adjust_sequence(
     drawn and the closest one is kept.  An accepted mutation is closer
     than every attempt before it, which all missed the slack, so the round
     always keeps the closest attempt.  When the rounds run out the best
-    sequence seen is returned.
+    sequence seen is returned, the last round's kept attempt included.
     """
     best_distance = math.inf
     best_seq = start
@@ -332,7 +332,7 @@ def adjust_sequence(
                 fallback_positions=outcome.fallback_positions,
             )
         )
-    return best_seq
+    return current if kept < best_distance else best_seq
 
 
 def _candidate_sites(

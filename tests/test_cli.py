@@ -267,9 +267,9 @@ class TestInverse:
         )
         assert result.exit_code == 0
         data = path.read_bytes()
-        assert data.count(b"\n") == 63
+        assert data.count(b"\n") == 44
         assert hashlib.sha256(data).hexdigest() == (
-            "de72efb370933ab0a58d629b211c4cae2e973ca37ef57714275fc033b4e03a7a"
+            "9013e75053b8380084875ced1afeb382df1ee38ae01cea72f6fa27ca391292de"
         )
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])

@@ -315,14 +315,15 @@ class TestSearchConfig:
             SearchConfig(mutation_retries=3)
 
 
-def scripted_adjust(monkeypatch, arcs_missing: dict[int, int]) -> list:
-    """The trace of adjust_sequence on a 16-nt hairpin with scripted folds.
+def scripted_adjust(monkeypatch, arcs_missing: dict[int, int]) -> tuple[int, list]:
+    """The returned sequence's index and the trace of adjust_sequence on a
+    16-nt hairpin with scripted folds, over its 2 rounds.
 
-    Sequence 0 is the start, and the t-th mutation of every round draws
-    sequence t + 1 of 5, with t + 1 mutated positions and fallback t.
-    Sequence k folds to the hairpin without arcs_missing[k] of its 6 arcs,
-    or without all of them; each missing arc counts 2 in the distance.
-    The phase returns the start, the best sequence it folds.
+    Sequence 0 is the start, and the mutations draw sequences 1 to 5 in
+    turn, round after round; sequence k comes with k mutated positions and
+    fallback k - 1.  Sequence k folds to the hairpin without
+    arcs_missing[k] of its 6 arcs, or without all of them; each missing
+    arc counts 2 in the distance.
     """
     target = parse_structure("((((((....))))))")
     seqs = ["A" * t + "C" * (16 - t) for t in range(6)]
@@ -343,8 +344,7 @@ def scripted_adjust(monkeypatch, arcs_missing: dict[int, int]) -> list:
     trace = []
     out = adjust_sequence(seqs[0], target, ScriptedOracle(), SearchConfig(rng_seed=0),
                           random.Random(0), trace)
-    assert out == seqs[0]
-    return trace
+    return seqs.index(out), trace
 
 
 class TestAdjust:
@@ -373,7 +373,8 @@ class TestAdjust:
     def test_round_without_acceptance_records_the_kept_attempt(self, monkeypatch):
         # the start folds 2 positions off the target; every attempt lands
         # beyond the slack (8 or 12 off), and the closest is the second
-        first = scripted_adjust(monkeypatch, {0: 1, 2: 4})[0]
+        out, (first, _) = scripted_adjust(monkeypatch, {0: 1, 2: 4})
+        assert out == 0  # no attempt came closer than the start
         assert (first.distance, first.best_distance) == (2, 2)
         assert first.mutations == 2 and first.fallback_positions == (1,)
         assert not first.accepted_uphill
@@ -382,11 +383,21 @@ class TestAdjust:
         # the start folds 2 positions off the target; the first attempt
         # lands beyond the slack (12 off), the second within it (6 off),
         # so the round keeps the second and marks the move uphill
-        first, second = scripted_adjust(monkeypatch, {0: 1, 2: 3})
+        out, (first, second) = scripted_adjust(monkeypatch, {0: 1, 2: 3})
         assert (first.distance, first.best_distance) == (2, 2)
         assert first.mutations == 2 and first.fallback_positions == (1,)
         assert first.accepted_uphill
         assert second.distance == 6  # the second round folds the kept attempt
+        assert out == 0  # the start stays the closest sequence seen
+
+    def test_last_kept_attempt_is_returned_when_closest(self, monkeypatch):
+        # the start folds 6 off; round 1 keeps sequence 1 (4 off), and
+        # round 2 folds it, then keeps sequence 2 (2 off), which no round
+        # folds again but which is the closest sequence seen
+        out, (first, second) = scripted_adjust(monkeypatch, {0: 3, 1: 2, 2: 1})
+        assert (first.distance, first.best_distance) == (6, 6)
+        assert (second.distance, second.best_distance) == (4, 4)
+        assert out == 2
 
 
 class TestLocalSearch:
@@ -527,11 +538,11 @@ class TestInverseFold:
                     lines.append(repr((None, failure.oracle_calls)))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
-            "fc47dbe11bb2f9354ba38ece4c62e1810a534855e6cb1e57a964290191b5f2ff"
+            "31199fc9df92e43e420ed35c53c0c5c7e6ae32095abe854281dad9463ed4509b"
         )
 
     def test_memo_budget_keeps_every_fold_of_a_shared_batch(self, monkeypatch):
-        # the batch leaves 1,952 structures in a memo without a budget, so
+        # the batch leaves 1,978 structures in a memo without a budget, so
         # the budget evicts, yet every repeat still finds its entry: the
         # fold count and the designs are those of an unbounded memo
         calls = []
@@ -551,10 +562,10 @@ class TestInverseFold:
                 lines.append(repr(design))
                 oracle_calls += design[1]
                 assert memo._held <= oracle.MAX_MEMO_STRUCTURES
-        assert (len(calls), oracle_calls) == (709, 1071)
+        assert (len(calls), oracle_calls) == (735, 1086)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
-            "fb1c68233203e3c5b223f78e7679b1c4f383e049d26e37d8ee65475e2a4709bf"
+            "89f49b07a8755109dcaf4a265455e4090e7bbde4892412ebd74e94d0f1708edd"
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
