@@ -271,10 +271,16 @@ def inverse(ctx, target, trials, seed, n_best, k, sigma, min_arc_length,
                 ctx.exit(EXIT_INTERNAL)
 
     if trace_file is not None:
-        for record in records:
-            for event in record.pop("_trace"):
-                event["trial"] = record["trial"]
-                trace_file.write(json.dumps(event, sort_keys=True) + "\n")
+        try:
+            for record in records:
+                for event in record.pop("_trace"):
+                    event["trial"] = record["trial"]
+                    trace_file.write(json.dumps(event, sort_keys=True) + "\n")
+            trace_file.flush()
+        except OSError as exc:
+            click.echo(f"cannot write --trace file {trace_file.name}: {exc.strerror}",
+                       err=True)
+            ctx.exit(EXIT_INVALID)
 
     successes = sum(record["success"] for record in records)
     times = [record.pop("_elapsed") for record in records]

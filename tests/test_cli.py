@@ -272,6 +272,18 @@ class TestInverse:
             "9013e75053b8380084875ced1afeb382df1ee38ae01cea72f6fa27ca391292de"
         )
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("trials", [3, 60])
+    def test_trace_that_cannot_be_written_exits_2(self, trials):
+        # 3 trials' trace fits the write buffer and fails only when flushed;
+        # 60 trials' trace fails at a write
+        result = run("inverse", "--target", "(((....)))", "--trials", str(trials),
+                     "--format", "jsonl", "--trace", "/dev/full")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("cannot write --trace file /dev/full: ")
+        assert result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_trace_path_exits_2_before_any_trial(
         self, tmp_path, monkeypatch, where
