@@ -100,10 +100,9 @@ class EnergyModel:
     pseudoknot: float = 9.0
 
     def __post_init__(self):
-        scores = dict(self.pair_scores)
-        if sorted(scores) != sorted(PAIRS):
-            raise ValueError(f"pair_scores must cover exactly {PAIRS}")
-        if not all(math.isfinite(v) and v <= 0 for v in scores.values()):
+        if sorted(name for name, _ in self.pair_scores) != sorted(PAIRS):
+            raise ValueError(f"pair_scores must list each of {PAIRS} once")
+        if not all(math.isfinite(v) and v <= 0 for _, v in self.pair_scores):
             raise ValueError("pair scores must be finite and <= 0")
         for name in _LOOP_PENALTIES:
             value = getattr(self, name)

@@ -184,6 +184,14 @@ class TestEnergy:
             with pytest.raises(ValueError, match="finite"):
                 EnergyModel.from_mapping({"pair.GC": bad})
 
+    def test_pair_listed_twice_is_refused(self):
+        # as a dict the scores would keep the last GC and cover PAIRS
+        pairs = EnergyModel().pair_scores
+        with pytest.raises(ValueError, match="once"):
+            EnergyModel(pair_scores=pairs + (("GC", -9.0),))
+        with pytest.raises(ValueError, match="once"):
+            EnergyModel(pair_scores=pairs[1:])
+
     def test_model_from_file(self, tmp_path):
         path = tmp_path / "model.cfg"
         path.write_text("# comment\npair.GU = -2.5\nloop.pseudoknot = 4\n")
