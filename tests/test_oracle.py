@@ -184,7 +184,7 @@ class TestEnergy:
             with pytest.raises(ValueError, match="finite"):
                 EnergyModel.from_mapping({"pair.GC": bad})
 
-    def test_pair_listed_twice_is_refused(self):
+    def test_pair_scores_list_each_pair_once(self):
         # as a dict the scores would keep the last GC and cover PAIRS
         pairs = EnergyModel().pair_scores
         with pytest.raises(ValueError, match="once"):
