@@ -1,18 +1,22 @@
 """Command-line front end: design runs, batch campaigns, and utilities.
 
 Exit codes: 0 success, 1 search failure (the oracle refusing a fold for
-its cost included), 2 invalid input, 70 internal error (a trial raised
-an unexpected exception, a trial worker ended without its records, or a
-reported success failed re-verification).
+its cost included), 2 invalid input or an output that cannot be written
+(a closed pipe on stdout still exits 1, silently), 70 internal error (a
+trial raised an unexpected exception, a trial worker ended without its
+records, or a reported success failed re-verification).
 Every option can also be set through environment variables with the
 PKINV_ prefix, for example PKINV_INVERSE_SEED.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
+import gc
 import json
 import os
+import sys
 import time
 from typing import TYPE_CHECKING
 
@@ -30,6 +34,12 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 70
+
+# Whatever is alive at exit dies with the process, and the interpreter's
+# last full collection would only walk it; freezing it skips that walk.
+# The standard streams are still flushed at exit, and click has closed a
+# --trace file by then.
+atexit.register(gc.freeze)
 
 _STRUCTURE_CHARS = set(":.()[]{}")
 
@@ -78,8 +88,6 @@ def _run_trial(
     trial: int,
 ) -> dict:
     """Design trial number trial of a campaign, on seed + trial."""
-    from dataclasses import asdict
-
     from .oracle import ReferenceFoldOracle
     from .search import SearchConfig, SearchFailed, inverse_fold
 
@@ -104,7 +112,7 @@ def _run_trial(
         record["reason"] = str(outcome)
     record["_elapsed"] = time.perf_counter() - started
     if want_trace:
-        record["_trace"] = [asdict(r) for r in outcome.trace]
+        record["_trace"] = [r._asdict() for r in outcome.trace]
     return record
 
 
@@ -189,7 +197,25 @@ def _campaign_records(run_trial, trials: int, workers: int) -> list[dict]:
                   key=lambda record: record["trial"])
 
 
-@click.group(context_settings={"auto_envvar_prefix": "PKINV"})
+class _Commands(click.Group):
+    """The command group; its main turns an output that cannot be written
+    into one stderr line and exit code 2, for every command.  Without
+    standalone_mode the error goes to the caller, as click's own do."""
+
+    def main(self, *args, standalone_mode: bool = True, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=standalone_mode, **kwargs)
+        except OSError as exc:  # click exits 1 without a word on EPIPE
+            if not standalone_mode:
+                raise
+            # the interpreter flushes stdout again at exit: the rest of its
+            # buffer goes to devnull, so that flush cannot fail as well
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            click.echo(f"cannot write output: {exc.strerror or exc}", err=True)
+            sys.exit(EXIT_INVALID)
+
+
+@click.group(cls=_Commands, context_settings={"auto_envvar_prefix": "PKINV"})
 @click.version_option(version=__version__)
 def main():
     """Inverse folding of crossing RNA structures, with utilities."""

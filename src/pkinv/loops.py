@@ -16,7 +16,6 @@ runs, and the running union of everything seen so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
 from typing import NamedTuple, Sequence
 
@@ -37,8 +36,7 @@ class InvalidStructure(ValueError):
     """The decomposition did not partition the structure (internal check)."""
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     """One loop of the decomposition.
 
     arcs lists the constituent arcs: the closing arc plus the boundary
@@ -90,8 +88,7 @@ class LoopComponent(NamedTuple):
     padded_span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class IntervalPlan:
+class IntervalPlan(NamedTuple):
     """Ordered components plus the flattened interval sequence I_1..I_m.
 
     Every interval is contained in the final one, which covers [1, n]

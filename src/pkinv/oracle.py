@@ -27,9 +27,8 @@ import sys
 import threading
 from bisect import insort
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .loops import _census, _members, loop_census
 from .sequences import (BASES, PAIRS, IncompatibleInput, _DROP_BASES, _PAIR_SET,
@@ -83,15 +82,7 @@ class SizeGuard(ValueError):
     """Refused to enumerate past the candidate-stack cap or the structure cap."""
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """Flat loop-based scoring: pair scores <= 0, loop penalties >= 0.
-
-    stacked is the penalty of an interior loop with both gaps empty (two
-    consecutive arcs of a stack); interior applies as soon as either gap
-    holds an unpaired base.  The empty structure scores 0.
-    """
-
+class _ModelFields(NamedTuple):
     pair_scores: tuple[tuple[str, float], ...] = _DEFAULT_PAIR_SCORES
     hairpin: float = 3.0
     interior: float = 2.0
@@ -99,7 +90,19 @@ class EnergyModel:
     multi: float = 4.0
     pseudoknot: float = 9.0
 
-    def __post_init__(self):
+
+class EnergyModel(_ModelFields):
+    """Flat loop-based scoring: pair scores <= 0, loop penalties >= 0.
+
+    stacked is the penalty of an interior loop with both gaps empty (two
+    consecutive arcs of a stack); interior applies as soon as either gap
+    holds an unpaired base.  The empty structure scores 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "EnergyModel":
+        self = super().__new__(cls, *args, **kwargs)
         if sorted(name for name, _ in self.pair_scores) != sorted(PAIRS):
             raise ValueError(f"pair_scores must list each of {PAIRS} once")
         if not all(math.isfinite(v) and v <= 0 for _, v in self.pair_scores):
@@ -108,9 +111,7 @@ class EnergyModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"loop penalty {name} must be finite and >= 0")
-        object.__setattr__(
-            self, "pair_scores", tuple(sorted(self.pair_scores))
-        )
+        return self._replace(pair_scores=tuple(sorted(self.pair_scores)))
 
     @classmethod
     def from_mapping(cls, overrides: Mapping[str, float]) -> "EnergyModel":
@@ -153,8 +154,7 @@ class EnergyModel:
 DEFAULT_MODEL = EnergyModel()
 
 
-@dataclass(frozen=True)
-class FoldResult:
+class FoldResult(NamedTuple):
     """Structures sorted ascending by energy; structures[0] is the mfe."""
 
     structures: tuple[Structure, ...]

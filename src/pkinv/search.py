@@ -11,7 +11,6 @@ sequence re-folds to the target arc for arc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 from typing import ClassVar, NamedTuple
 
@@ -62,13 +61,19 @@ class SearchFailed(RuntimeError):
         super().__init__(f"{message}: {reason}" if reason else message)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _ConfigFields(NamedTuple):
+    n_best: int = 50
+    rng_seed: int = 0
+
+
+class SearchConfig(_ConfigFields):
     """The suboptimal list size and the seed of one search.
 
     The other parameters of the search are fixed.  The cap on oracle
     calls per local-search interval is phase_cap_factor * n.
     """
+
+    __slots__ = ()
 
     distance_slack: ClassVar[int] = 5
     mutation_retries: ClassVar[int] = 5
@@ -76,19 +81,17 @@ class SearchConfig:
     uphill_margin: ClassVar[int] = 5
     phase_cap_factor: ClassVar[int] = 10
 
-    n_best: int = 50
-    rng_seed: int = 0
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs) -> "SearchConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_best < 1:
             raise ValueError("n_best must be positive")
+        return self
 
     def rounds_for(self, n: int) -> int:
         return max(1, math.ceil(math.sqrt(n) / 2))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     phase: str  # "adjust" or "local"
     round: int
     distance: int
@@ -111,15 +114,13 @@ class CompetitorCensus(NamedTuple):
     rivals: list[set[int]]
 
 
-@dataclass(frozen=True)
-class MutationOutcome:
+class MutationOutcome(NamedTuple):
     sequence: str
     mutated_positions: tuple[int, ...]
     fallback_positions: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class InvResult:
+class InvResult(NamedTuple):
     sequence: str
     target: Structure
     oracle_calls: int

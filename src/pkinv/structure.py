@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 UNPAIRED_CHAR = ":"
@@ -63,8 +62,13 @@ class Arc(NamedTuple):
         return self.j - self.i
 
 
-@dataclass(frozen=True)
-class Structure:
+class _StructureFields(NamedTuple):
+    n: int
+    arcs: tuple[Arc, ...]
+    partner: tuple[int, ...]
+
+
+class Structure(_StructureFields):
     """A diagram over [1, n]: sorted arcs plus the derived partner vector.
 
     partner[w] is the position paired with w, or 0 when w is unpaired;
@@ -72,23 +76,20 @@ class Structure:
     Construction rejects arcs outside [1, n] and doubly-paired positions.
     """
 
-    n: int
-    arcs: tuple[Arc, ...]
-    partner: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        arcs = tuple(sorted(Arc(*a) for a in self.arcs))
-        object.__setattr__(self, "arcs", arcs)
-        partner = [0] * (self.n + 1)
+    def __new__(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Structure":
+        arcs = tuple(sorted(Arc(*a) for a in arcs))
+        partner = [0] * (n + 1)
         for arc in arcs:
-            if not 1 <= arc.i < arc.j <= self.n:
-                raise ValueError(f"arc {arc} outside positions [1, {self.n}]")
+            if not 1 <= arc.i < arc.j <= n:
+                raise ValueError(f"arc {arc} outside positions [1, {n}]")
             for w in (arc.i, arc.j):
                 if partner[w]:
                     raise ValueError(f"position {w} is paired more than once")
             partner[arc.i] = arc.j
             partner[arc.j] = arc.i
-        object.__setattr__(self, "partner", tuple(partner))
+        return super().__new__(cls, n, arcs, tuple(partner))
 
     @classmethod
     def _trusted(cls, n: int, arcs: tuple[Arc, ...]) -> "Structure":
@@ -101,15 +102,18 @@ class Structure:
         for i, j in arcs:
             partner[i] = j
             partner[j] = i
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "partner", tuple(partner))
-        return self
+        return super().__new__(cls, n, arcs, tuple(partner))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Structure":
         return cls(n, tuple(Arc(min(i, j), max(i, j)) for i, j in pairs))
+
+    def __getnewargs__(self) -> tuple[int, tuple[Arc, ...]]:
+        # copy and pickle rebuild through __new__, which derives partner
+        return self.n, self.arcs
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r}, arcs={self.arcs!r})"
 
     def partner_of(self, w: int) -> int:
         """Paired position of w, or 0 if w is unpaired."""
@@ -124,25 +128,29 @@ class Structure:
             return f"<Structure n={self.n} arcs={len(self.arcs)}>"
 
 
-@dataclass(frozen=True)
-class ValidationPolicy:
-    """Canonicity bounds: k-noncrossing, minimum stack size, minimum arc length."""
-
+class _PolicyFields(NamedTuple):
     k: int = 3
     sigma: int = 3
     min_arc_length: int = 4
 
-    def __post_init__(self):
+
+class ValidationPolicy(_PolicyFields):
+    """Canonicity bounds: k-noncrossing, minimum stack size, minimum arc length."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ValidationPolicy":
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if self.sigma < 1:
             raise ValueError("sigma must be at least 1")
         if self.min_arc_length < 1:
             raise ValueError("min_arc_length must be at least 1")
+        return self
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     message: str
 

@@ -55,14 +55,25 @@ TWO_LOOP_10 = Structure.from_pairs(10, [(2, 8), (3, 5), (7, 9)])
 SEVEN_CYCLE_42 = "(((((([[[[[[)))(((]]][[[))){{{]]])))}}}]]]"
 
 
+def _env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this pkinv."""
+    return {**os.environ, "PYTHONPATH": str(Path(pkinv.__file__).parents[1])}
+
+
 def python_process(code: str, *flags: str) -> subprocess.CompletedProcess:
     """A fresh interpreter, started with flags, that ran code importing
     this pkinv and exited 0."""
-    env = {**os.environ, "PYTHONPATH": str(Path(pkinv.__file__).parents[1])}
-    done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done
+
+
+def cli_process(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``python -m pkinv.cli`` with args, run to its exit by a fresh
+    interpreter that imports this pkinv; stdout and stderr are bytes."""
+    return subprocess.run([sys.executable, "-m", "pkinv.cli", *args], env=_env(),
+                          stdout=stdout, stderr=subprocess.PIPE)
 
 
 def run_python(code: str) -> str:

@@ -1,10 +1,13 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,7 +18,7 @@ import pkinv
 from pkinv import cli, oracle
 from pkinv.cli import main
 
-from .helpers import PSEUDOKNOT_18, run_python
+from .helpers import PSEUDOKNOT_18, cli_process, run_python
 
 
 def run(*args):
@@ -70,6 +73,20 @@ class TestInverse:
             result = run(*args, "--jobs", jobs, "--trace", str(trace))
             assert (result.exit_code, result.output) == (1, serial.output)
             assert trace.read_bytes() == serial_trace.read_bytes()
+
+    def test_whole_process_campaign_equals_the_in_process_run(self, tmp_path):
+        # CliRunner returns before the interpreter's exit, which flushes the
+        # streams and skips the collection of what it froze
+        args = ["inverse", "--target", "(((..[[[..)))..]]]", "--trials", "5",
+                "--seed", "2", "--format", "jsonl", "--jobs", "2"]
+        process_trace = tmp_path / "process.jsonl"
+        done = cli_process(*args, "--trace", str(process_trace))
+        runner_trace = tmp_path / "runner.jsonl"
+        result = run(*args, "--trace", str(runner_trace))
+        assert result.exit_code == 1  # trial 1 fails, as at --jobs 1
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert done.stdout == result.stdout_bytes
+        assert process_trace.read_bytes() == runner_trace.read_bytes()
 
     def test_import_leaves_the_process_pool_out(self):
         # the forked workers need no pool, neither to import nor to run, and
@@ -458,16 +475,55 @@ class TestStartup:
         (["distance", "(((....)))", "((......))"], {"structure"}),
         (["decompose", PSEUDOKNOT_18], {"loops", "structure"}),
         (["fold", "GGGAAAACCC"], {"loops", "oracle", "sequences", "structure"}),
-    ], ids=["help", "version", "distance", "decompose", "fold"])
+        (["inverse", "--target", "(((....)))"],
+         {"loops", "oracle", "search", "sequences", "structure"}),
+    ], ids=["help", "version", "distance", "decompose", "fold", "inverse"])
     def test_commands_load_only_the_engine_they_call(self, args, engine):
+        # main itself, not CliRunner: click.testing loads dataclasses (pdb)
         code = ("import sys\n"
-                "from click.testing import CliRunner\n"
                 "from pkinv.cli import main\n"
-                f"result = CliRunner().invoke(main, {args!r})\n"
-                "assert result.exit_code == 0, result.output\n"
-                "print(*sorted(m for m in sys.modules if m.startswith('pkinv')))")
-        loaded = set(run_python(code).split())
+                f"assert main({args!r}, standalone_mode=False) in (None, 0)\n"
+                "print(*sorted(m for m in sys.modules"
+                " if m.startswith('pkinv') or m == 'dataclasses'))")
+        loaded = set(run_python(code).splitlines()[-1].split())
         assert loaded == {"pkinv", "pkinv.cli"} | {f"pkinv.{m}" for m in engine}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["inverse", "--target", "(((....)))", "--trials", "3", "--format", "jsonl"],
+    ["fold", "GGGAAAACCC"],
+    ["--help"],
+], ids=["inverse", "fold", "help"])
+def test_output_that_cannot_be_written_exits_2(args):
+    # one line, and no second report from the flush at exit
+    with open("/dev/full", "wb") as full:
+        done = cli_process(*args, stdout=full)
+    assert done.returncode == 2
+    assert done.stderr.decode() == (
+        f"cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_output_error_goes_to_the_caller_without_standalone_mode(monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    with pytest.raises(OSError) as caught:
+        main(["fold", "GGGAAAACCC"], standalone_mode=False)
+    assert caught.value.errno == errno.ENOSPC
+
+
+def test_closed_pipe_exits_1_without_a_word():
+    # click's own handling of EPIPE, as for `pkinv fold ... | head -0`
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        done = cli_process("fold", "GGGAAAACCC", stdout=write_fd)
+    finally:
+        os.close(write_fd)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestFoldCommand:

@@ -174,7 +174,8 @@ class TestEnergy:
         assert energy_of("GGGAAAACCC", HAIRPIN, model) == -15.0 + 1.0
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^loop penalty hairpin must be finite and >= 0$"):
             EnergyModel(hairpin=-1.0)
         with pytest.raises(ValueError):
             EnergyModel.from_mapping({"pair.GC": 2.0})

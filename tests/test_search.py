@@ -307,7 +307,7 @@ class TestMutation:
 
 class TestSearchConfig:
     def test_n_best_must_be_positive(self):
-        with pytest.raises(ValueError, match="n_best"):
+        with pytest.raises(ValueError, match="^n_best must be positive$"):
             SearchConfig(n_best=0)
 
     def test_fixed_parameters_are_not_settable(self):

@@ -1,6 +1,8 @@
 """Diagram parsing, serialization, crossing analysis, and distances."""
 
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -222,11 +224,11 @@ class TestValidate:
         assert any(v.kind == "crossing" for v in validate_target(s))
 
     def test_policy_invariants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k must be at least 2$"):
             ValidationPolicy(k=1)
-        with pytest.raises(ValueError, match="sigma must be at least 1"):
+        with pytest.raises(ValueError, match="^sigma must be at least 1$"):
             ValidationPolicy(sigma=0)
-        with pytest.raises(ValueError, match="min_arc_length must be at least 1"):
+        with pytest.raises(ValueError, match="^min_arc_length must be at least 1$"):
             ValidationPolicy(min_arc_length=0)
 
     @settings(max_examples=100, deadline=None)
@@ -297,3 +299,28 @@ class TestPartnerAccess:
             s.partner_of(0)
         with pytest.raises(OutOfRange):
             s.partner_of(5)
+
+
+class TestRecord:
+    @pytest.mark.parametrize("name", ["n", "arcs", "partner", "extra"])
+    def test_attributes_cannot_be_assigned(self, name):
+        s = parse_structure(HAIRPIN)
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
+        assert s == parse_structure(HAIRPIN)
+
+    def test_repr_shows_n_and_arcs_only(self):
+        s = Structure.from_pairs(6, [(1, 6)])
+        assert repr(s) == "Structure(n=6, arcs=(Arc(i=1, j=6),))"
+
+    @pytest.mark.parametrize("make", [
+        lambda s: Structure._trusted(s.n, s.arcs),
+        copy.copy,
+        lambda s: pickle.loads(pickle.dumps(s)),
+    ], ids=["trusted", "copy", "pickle"])
+    def test_rebuilt_structure_equals_the_validated_one(self, make):
+        s = parse_structure(PSEUDOKNOT_18)
+        rebuilt = make(s)
+        assert type(rebuilt) is Structure
+        assert rebuilt == s and hash(rebuilt) == hash(s)
+        assert rebuilt.partner == s.partner
