@@ -31,8 +31,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
 
 from .loops import _census, _members, loop_census
-from .sequences import (BASES, PAIRS, IncompatibleInput, _DROP_BASES, _PAIR_SET,
-                        _require_compatible)
+from .sequences import PAIRS, _pair_masks, _require_compatible
 from .structure import (
     Arc,
     Structure,
@@ -70,12 +69,6 @@ _DEFAULT_PAIR_SCORES = (
     ("UA", -2.0),
     ("UG", -1.0),
 )
-# per base x, the table writing the bases that pair with x as binary
-# digit 1 and the others as 0
-_PARTNER_DIGITS = {
-    x: str.maketrans(BASES, "".join("1" if x + y in _PAIR_SET else "0" for y in BASES))
-    for x in BASES
-}
 
 
 class SizeGuard(ValueError):
@@ -130,7 +123,8 @@ class EnergyModel(_ModelFields):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EnergyModel":
-        """Read key=value lines; blank lines and '#' comments are ignored."""
+        """Read key=value lines; blank lines and '#' comments are ignored,
+        and a key given twice is refused."""
         overrides: dict[str, float] = {}
         for raw in Path(path).read_text().splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -139,7 +133,10 @@ class EnergyModel(_ModelFields):
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"malformed energy model line {raw!r}")
-            overrides[key.strip()] = float(value.strip())
+            key = key.strip()
+            if key in overrides:
+                raise ValueError(f"energy model key {key!r} given twice")
+            overrides[key] = float(value.strip())
         return cls.from_mapping(overrides)
 
     def loop_energy(self, census: tuple[int, ...]) -> float:
@@ -177,22 +174,6 @@ def energy_of(
     pair = dict(model.pair_scores)
     total = sum(pair[seq[i - 1] + seq[j - 1]] for i, j in s.arcs)
     return total + model.loop_energy(loop_census(s))
-
-
-def _pair_masks(seq: str) -> list[int]:
-    """masks[p]: bit q set when position q can pair with position p (1-based)."""
-    if seq.translate(_DROP_BASES):
-        position, char = next((p, c) for p, c in enumerate(seq, 1) if c not in BASES)
-        raise IncompatibleInput(
-            f"sequence contains non-ACGU characters: {char!r} at position {position}"
-        )
-    # the last digit is position 1; the shift makes bit q position q
-    backward = "0" + seq[::-1]
-    partners = {
-        x: int(backward.translate(table), 2) << 1
-        for x, table in _PARTNER_DIGITS.items()
-    }
-    return [0, *map(partners.__getitem__, seq)]
 
 
 def _candidate_stacks(
@@ -255,19 +236,20 @@ def _stack_sets(
     """
     cap = MAX_STRUCTURES
     covering = [0] * (n + 2)  # candidates by paired position
-    ends: dict[tuple[int, int], int] = {}  # by outer arc and by the arc inside
+    outer: dict[tuple[int, int], int] = {}  # candidates by outer arc
     for c, (i, j, size) in enumerate(candidates):
         bit = 1 << c
         for t in range(size):
             covering[i + t] |= bit
             covering[j - t] |= bit
-        for arc in ((i, j), (i + size, j - size)):
-            ends[arc] = ends.get(arc, 0) | bit
+        outer[i, j] = outer.get((i, j), 0) | bit
     compatible = []
     for i, j, size in candidates:
         # runs merge when one's outer arc lies just inside the other; any
-        # other shared end arc shares positions too
-        clash = ends[i, j] | ends[i + size, j - size]
+        # other shared arc shares positions.  The search adds only runs
+        # above a chosen c, and a run c would sit just inside starts left
+        # of c, so only the run just inside c, keyed by its outer arc, counts
+        clash = outer.get((i + size, j - size), 0)
         for t in range(size):
             clash |= covering[i + t] | covering[j - t]
         compatible.append(~clash)

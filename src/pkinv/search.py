@@ -14,10 +14,11 @@ import math
 from random import Random
 from typing import ClassVar, NamedTuple
 
-from .loops import ArcNotInStructure, IntervalPlan, _members, build_intervals
-from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard, _pair_masks
-from .sequences import (BASES, _unpaired_first, can_pair, other_values, put,
-                        random_compatible_sequence, site_chars, site_values, sites)
+from .loops import ArcNotInStructure, IntervalPlan, build_intervals
+from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard
+from .sequences import (_PARTNERS, _pair_masks, _unpaired_first, can_pair,
+                        other_values, put, random_compatible_sequence, site_chars,
+                        site_values, sites)
 from .structure import (
     Arc,
     Structure,
@@ -27,10 +28,6 @@ from .structure import (
     structure_distance,
     validate_target,
 )
-
-
-# per base x, the bases y that x pairs with as the ordered pair (x, y)
-_PARTNERS = {x: frozenset(y for y in BASES if can_pair(x, y)) for x in BASES}
 
 
 class InvalidTarget(ValueError):
@@ -197,31 +194,30 @@ def competitor_census(
 ) -> CompetitorCensus:
     """The census of build_competitors' survivors, without building them.
 
-    Every nonempty fold structure S is its own unshifted perturbation, so
-    S's whole partner vector counts.  A perturbation at arc (i0, j0)
-    differs from S only at its touched ends: deletion leaves 0 at i0 and
-    j0, and a shift to (i, j) pairs i with j when it stays in range with
-    i < j, lands on ends free in S minus the arc, and can pair.  Those
-    shifts depend only on the arc and on whether S pairs i0 +- 1 and
-    j0 +- 1, so each such neighbourhood is examined once per call.  The
-    target need not be dropped: its entries are the target partners,
-    which mutation ignores.  The partners of a position are read
-    column-wise off the partner vectors, and shifts are tested against
-    the sequence's pair masks.
+    With no fold structure holding an arc nothing is flagged; otherwise w
+    is flagged iff the target or some competitor pairs w: deleting any arc
+    of a fold structure S unpairs its ends, and S's own partner column
+    leaves unpaired every position S does not pair.  S's whole partner
+    vector counts, as S is its own unshifted perturbation.  A perturbation
+    at arc (i0, j0) differs from S only at its touched ends: a shift to
+    (i, j) pairs i with j when it stays in range with i < j, lands on ends
+    free in S minus the arc, and can pair.  Those shifts depend only on
+    the arc and on whether S pairs i0 +- 1 and j0 +- 1, so each such
+    neighbourhood is examined once per call.  The target need not be
+    dropped: its entries are the target partners, which mutation ignores.
     """
-    pairs = _pair_masks(seq)  # bit j of pairs[i]: i and j can pair
     structures = [s for s in fold_result.structures if s.arcs]
-    # seen[w]: the partners competitors give w, 0 for unpaired
-    seen = [set(column) for column in zip(*(s.partner for s in structures))]
-    if not seen:
-        seen = [set() for _ in range(target.n + 1)]
-    deleted = 0  # ends of some arc, which its deletion leaves unpaired
+    if not structures:
+        return CompetitorCensus([False] * (target.n + 1),
+                                [set() for _ in range(target.n + 1)])
+    pairs = _pair_masks(seq)  # bit j of pairs[i]: i and j can pair
+    # rivals[w]: the partners competitors give w
+    rivals = [set(column) - {0} for column in zip(*(s.partner for s in structures))]
     examined = set()
     for s in structures:
         paired = 0
         for i0, j0 in s.arcs:
             paired |= 1 << i0 | 1 << j0
-        deleted |= paired
         for i0, j0 in s.arcs:
             key = (i0, j0, paired >> (i0 - 1) & 5, paired >> (j0 - 1) & 5)
             if key in examined:
@@ -236,14 +232,10 @@ def competitor_census(
                     ends &= ~(1 << j0)
                 for j in (j0 - 1, j0, j0 + 1):
                     if ends >> j & 1 and i < j:
-                        seen[i].add(j)
-                        seen[j].add(i)
-    for w in _members(deleted):
-        seen[w].add(0)
-    flagged = [len(ps) > (t in ps) for ps, t in zip(seen, target.partner)]
-    for ps in seen:
-        ps.discard(0)
-    return CompetitorCensus(flagged, seen)
+                        rivals[i].add(j)
+                        rivals[j].add(i)
+    flagged = [bool(t or ps) for ps, t in zip(rivals, target.partner)]
+    return CompetitorCensus(flagged, rivals)
 
 
 def mutate_against_competitors(

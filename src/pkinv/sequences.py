@@ -22,7 +22,14 @@ from .structure import LengthMismatch, Structure
 
 BASES = "ACGU"
 PAIRS = ("AU", "CG", "GC", "GU", "UA", "UG")
-_PAIR_SET = frozenset(PAIRS)
+# per base x, the bases y that x pairs with as the ordered pair (x, y)
+_PARTNERS = {x: frozenset(p[1] for p in PAIRS if p[0] == x) for x in BASES}
+# per base x, the table writing the bases that pair with x as binary
+# digit 1 and the others as 0
+_PARTNER_DIGITS = {
+    x: str.maketrans(BASES, "".join("1" if y in ys else "0" for y in BASES))
+    for x, ys in _PARTNERS.items()
+}
 _DROP_BASES = str.maketrans("", "", BASES)
 
 
@@ -32,7 +39,7 @@ class IncompatibleInput(ValueError):
 
 def can_pair(x: str, y: str) -> bool:
     """True when the ordered base pair (x, y) can form a bond."""
-    return x + y in _PAIR_SET
+    return y in _PARTNERS.get(x, ())
 
 
 def is_compatible(seq: str, s: Structure) -> bool:
@@ -47,6 +54,22 @@ def is_compatible(seq: str, s: Structure) -> bool:
 def _require_compatible(seq: str, s: Structure) -> None:
     if not is_compatible(seq, s):
         raise IncompatibleInput("sequence is not compatible with the structure")
+
+
+def _pair_masks(seq: str) -> list[int]:
+    """masks[p]: bit q set when position q can pair with position p (1-based)."""
+    if seq.translate(_DROP_BASES):
+        position, char = next((p, c) for p, c in enumerate(seq, 1) if c not in BASES)
+        raise IncompatibleInput(
+            f"sequence contains non-ACGU characters: {char!r} at position {position}"
+        )
+    # the last digit is position 1; the shift makes bit q position q
+    backward = "0" + seq[::-1]
+    partners = {
+        x: int(backward.translate(table), 2) << 1
+        for x, table in _PARTNER_DIGITS.items()
+    }
+    return [0, *map(partners.__getitem__, seq)]
 
 
 def sites(s: Structure) -> list[tuple[int, int]]:

@@ -7,6 +7,7 @@ stack-placement enumerator, so the two can check each other.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -225,6 +226,71 @@ def naive_min_energy(
         if s.arcs and is_compatible(seq, s):
             best = min(best, energy_of(seq, s, model))
     return best
+
+
+def zuker_mfe(
+    seq: str,
+    policy: ValidationPolicy = ValidationPolicy(k=2),
+    model: EnergyModel | None = None,
+) -> float:
+    """The mfe of seq over nested structures by an O(n^3) Zuker-style DP.
+
+    It scores the loops of a noncrossing structure as the package does,
+    but by recursion over segments instead of enumeration: every maximal
+    stack pays its pair scores, size - 1 stacked pairs, and one loop
+    closed by its innermost arc (hairpin, gapped interior or multi by its
+    number of child stacks); the exterior loop is free.  Segments are
+    1-based and inclusive, and infinity marks an impossible one:
+    - v[i][j]: [i, j] closed by a maximal stack of size >= sigma whose
+      outer arc is (i, j);
+    - gap[a][b]: exactly one child stack inside [a, b], the rest
+      unpaired; a gapped interior loop closed by (p, q) reads
+      gap[p + 2][q - 1] or gap[p + 1][q - 2], as the child must leave
+      a gap or it would extend the stack;
+    - wm1[a][b] and wm2[a][b]: at least one, or two, child stacks side by
+      side in [a, b], the rest unpaired: the multiloop's content;
+    - the exterior W is min(0, wm1[1][n]), the open chain scoring 0.
+    """
+    if policy.k != 2:
+        raise ValueError("the DP folds nested structures only: policy.k must be 2")
+    model = model or EnergyModel()
+    pair = dict(model.pair_scores)
+    n = len(seq)
+    lmin = max(policy.min_arc_length, 2)
+    inf = math.inf
+    v = [[inf] * (n + 2) for _ in range(n + 2)]
+    gap = [[inf] * (n + 2) for _ in range(n + 2)]
+    wm1 = [[inf] * (n + 2) for _ in range(n + 2)]
+    wm2 = [[inf] * (n + 2) for _ in range(n + 2)]
+
+    def closed_loop(p: int, q: int) -> float:
+        """The loop closed by the innermost arc (p, q) of a stack."""
+        interior = min(gap[p + 2][q - 1], gap[p + 1][q - 2])
+        return min(model.hairpin, model.interior + interior,
+                   model.multi + wm2[p + 1][q - 1])
+
+    for d in range(1, n):
+        for i in range(1, n - d + 1):
+            j = i + d
+            # the stack (i, j), ..., (i + size - 1, j - size + 1)
+            scores = 0.0
+            for size in range(1, (d - lmin) // 2 + 2):
+                p, q = i + size - 1, j - size + 1
+                if seq[p - 1] + seq[q - 1] not in pair:
+                    break
+                scores += pair[seq[p - 1] + seq[q - 1]]
+                if size >= policy.sigma:
+                    v[i][j] = min(v[i][j], scores + (size - 1) * model.stacked
+                                  + closed_loop(p, q))
+            gap[i][j] = min(v[i][j], gap[i + 1][j], gap[i][j - 1])
+            one, two = wm1[i + 1][j], wm2[i + 1][j]  # i unpaired
+            for u in range(i + 1, j + 1):  # the first child is (i, u)
+                if v[i][u] < inf:
+                    rest = wm1[u + 1][j]  # infinite when u = j
+                    one = min(one, v[i][u] + min(0.0, rest))
+                    two = min(two, v[i][u] + rest)
+            wm1[i][j], wm2[i][j] = one, two
+    return min(0.0, wm1[1][n])
 
 
 def reference_mutate_against_competitors(

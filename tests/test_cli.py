@@ -424,8 +424,9 @@ class TestInverse:
 ], ids=["inverse", "fold"])
 @pytest.mark.parametrize("content", [
     None, "loop.bogus = 1\n", "pair.GC\n",
-    "loop.pseudoknot = inf\n", "pair.GC = nan\n",
-], ids=["missing", "unknown-key", "no-value", "inf-penalty", "nan-pair"])
+    "loop.pseudoknot = inf\n", "pair.GC = nan\n", "pair.GC = -3\npair.GC = -9\n",
+], ids=["missing", "unknown-key", "no-value", "inf-penalty", "nan-pair",
+        "repeated-key"])
 def test_model_load_error_exits_2(tmp_path, command, content):
     path = tmp_path / "model.cfg"
     if content is not None:

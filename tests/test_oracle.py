@@ -39,6 +39,7 @@ from .helpers import (
     random_sequence,
     random_valid_structure,
     run_python,
+    zuker_mfe,
 )
 
 HAIRPIN = parse_structure("(((....)))")
@@ -199,6 +200,10 @@ class TestEnergy:
         model = EnergyModel.from_file(path)
         assert dict(model.pair_scores)["GU"] == -2.5
         assert model.pseudoknot == 4.0
+        # a key given twice is refused, not read as its last value
+        path.write_text("pair.GC = -3\n# again\npair.GC=-9\n")
+        with pytest.raises(ValueError, match="'pair.GC' given twice"):
+            EnergyModel.from_file(path)
 
 
 class TestFold:
@@ -354,6 +359,32 @@ class TestFold:
         energy = model.loop_energy(loop_census(s))
         assert m + 4 * m > energy
         assert oracle._loop_floor(model, 5, False) <= energy
+
+    @pytest.mark.parametrize("model, tolerance",
+                             [(DEFAULT_MODEL, 0.0), (FRACTIONAL_MODEL, 1e-9)],
+                             ids=["default", "fractional"])
+    def test_nested_folds_equal_the_zuker_dp(self, model, tolerance):
+        # past the brute force's reach: folds under k = 2 against an O(n^3)
+        # recursion over segments.  The default model's values add exactly;
+        # others may round apart in the two summation orders.
+        rng = random.Random(21)
+        # sigma 2 lists far more candidate stacks, and past about 45 nt
+        # the candidate cap refuses most of its folds
+        cases = ((ValidationPolicy(k=2), 60), (ValidationPolicy(2, 2, 3), 40),
+                 (ValidationPolicy(2, 4, 4), 60), (ValidationPolicy(2, 3, 6), 60))
+        compared = 0
+        for trial in range(40):
+            policy, longest = cases[trial // 2 % len(cases)]
+            alphabet = "ACGU" if trial % 2 else "GGGCCCAU"  # random, GC-rich
+            seq = "".join(rng.choice(alphabet) for _ in range(rng.randint(30, longest)))
+            try:
+                energy = fold(seq, 1, policy, model).mfe_energy
+            except SizeGuard:
+                continue
+            expected = zuker_mfe(seq, policy, model)
+            assert energy == pytest.approx(expected, rel=0, abs=tolerance), (seq, policy)
+            compared += 1
+        assert compared >= 32
 
     def test_scoring_stops_early(self, monkeypatch):
         # the loop floor cuts the scoring phase: without it, folds at

@@ -204,6 +204,12 @@ class TestCensus:
         expected = census_of(build_competitors(seq, result, target), target)
         census = competitor_census(seq, result, target)
         assert as_consumed(census, target) == as_consumed(expected, target)
+        # the flag rule: a position the target pairs is flagged iff some fold
+        # structure has an arc, an unpaired one iff some competitor pairs it
+        has_arc = any(s.arcs for s in result.structures)
+        assert census.flagged[1:] == [
+            has_arc if t else bool(rivals - {0})
+            for t, rivals in zip(target.partner[1:], census.rivals[1:])]
 
     def test_open_chain_gives_an_empty_census(self):
         result = ReferenceFoldOracle().fold("AAAAAAAAAA", 1)
