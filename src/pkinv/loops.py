@@ -163,18 +163,25 @@ def _closed_loop(below: int, inside: list[int]) -> str:
 
 
 def _census(
-    chosen: int, sizes: Sequence[int], crossing: list[int], inside: list[int]
+    chosen: int, sizes: Sequence[int], crossing: list[int], inside: list[int],
+    knotted: int,
 ) -> tuple[int, int, int, int, int]:
     """loop_census of the stacks in the chosen mask, from their relation masks.
 
     Bits index stacks in ascending outer i; sizes[c] is the size of stack
-    c and crossing/inside are as structure._relations builds them.  A
-    stack outside every pseudoknot closes size - 1 stacked pairs plus one
-    loop of the kind _closed_loop gives.
+    c and crossing/inside are as structure._relations builds them.
+    knotted is false only when no two chosen stacks cross, and then no
+    pseudoknot forms, so the grouping is skipped.  A stack outside every
+    pseudoknot closes size - 1 stacked pairs plus one loop of the kind
+    _closed_loop gives.
     """
-    groups = _pseudoknot_groups(chosen, crossing, inside)
+    rest = chosen
+    pseudoknots = 0
+    if knotted:
+        groups = _pseudoknot_groups(chosen, crossing, inside)
+        rest &= ~sum(groups)  # groups are disjoint: sum is union
+        pseudoknots = len(groups)
     hairpins = gapped = stacked = multis = 0
-    rest = chosen & ~sum(groups)  # groups are disjoint: sum is union
     while rest:
         low = rest & -rest
         rest ^= low
@@ -187,7 +194,7 @@ def _census(
             multis += 1
         else:
             gapped += 1
-    return (hairpins, gapped, stacked, multis, len(groups))
+    return (hairpins, gapped, stacked, multis, pseudoknots)
 
 
 def loop_census(s: Structure) -> tuple[int, int, int, int, int]:
@@ -199,9 +206,8 @@ def loop_census(s: Structure) -> tuple[int, int, int, int, int]:
     """
     triples = stacks(s)
     crossing, inside = _relations(s.n, triples)
-    return _census(
-        (1 << len(triples)) - 1, [size for _, _, size in triples], crossing, inside
-    )
+    return _census((1 << len(triples)) - 1, [size for _, _, size in triples],
+                   crossing, inside, any(crossing))
 
 
 def _unpaired_runs(positions: list[int]) -> tuple[tuple[int, int], ...]:

@@ -22,13 +22,14 @@ that crosses nothing never joins one.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
 from bisect import insort
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .loops import _census, _members, loop_census
 from .sequences import PAIRS, _pair_masks, _require_compatible
@@ -104,7 +105,11 @@ class EnergyModel(_ModelFields):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"loop penalty {name} must be finite and >= 0")
-        return self._replace(pair_scores=tuple(sorted(self.pair_scores)))
+        return super().__new__(cls, tuple(sorted(self.pair_scores)), *self[1:])
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "EnergyModel":
+        return cls(*iterable)  # _replace builds through _make: validate
 
     @classmethod
     def from_mapping(cls, overrides: Mapping[str, float]) -> "EnergyModel":
@@ -338,6 +343,17 @@ def _loop_floor(model: EnergyModel, free: int, knotted: bool) -> float:
     return floor - 16 * math.ulp(floor)
 
 
+# a design folds under one model at one length, a campaign at a few dozen
+@functools.lru_cache(maxsize=32)
+def _floor_table(model: EnergyModel, n: int) -> tuple[float, ...]:
+    """_loop_floor of every shape a structure of length n can have, by shape.
+
+    The shape is 2 * free + knotted, as _stack_sets gives it.  Stacks
+    pair disjoint positions, so free <= n // 2 and the shape <= n + 1.
+    """
+    return tuple(_loop_floor(model, shape >> 1, shape & 1) for shape in range(n + 2))
+
+
 def fold(
     seq: str,
     n_best: int = 1,
@@ -368,6 +384,19 @@ def fold(
     _loop_floor keeps the floor below the energy as computed, too.
     Structures are scored in ascending bound until the bound exceeds the
     n_best-th energy found, so ties with it are still scored.
+
+    Four pieces of work are skipped, each without changing a result:
+
+    - the floors come from a table per model and length, which
+      _floor_table keeps for the last few dozen, since a floor depends
+      only on the model and the shape;
+    - with at most n_best structures every one is returned, so all are
+      scored with no floor, bound or sort, which could skip none;
+    - a score tuple extends the previous candidate's when both share an
+      outer arc, holding the same values in the same order, so every
+      sum adds alike;
+    - a structure none of whose stacks cross skips the pseudoknot
+      grouping, since without a crossing no pseudoknot forms.
     """
     if n_best < 1:
         raise ValueError("n_best must be at least 1")
@@ -375,35 +404,54 @@ def fold(
     n = len(seq)
     candidates = _candidate_stacks(policy, _pair_masks(seq))
     pair = dict(model.pair_scores)
-    scores = [  # tuple(list) builds short tuples faster than tuple(generator)
-        tuple([pair[seq[i + t - 1] + seq[j - t - 1]] for t in range(size)])
-        for i, j, size in candidates
-    ]
+    # the sizes of one outer arc are consecutive candidates, so each
+    # score tuple after the first is the one before it plus one arc
+    scores: list[tuple[float, ...]] = []
+    outer = None
+    for i, j, size in candidates:
+        if outer == (i, j):
+            head += (pair[seq[i + size - 2] + seq[j - size]],)
+        else:
+            outer = i, j
+            # tuple(list) builds short tuples faster than tuple(generator)
+            head = tuple([pair[seq[i + t - 1] + seq[j - t - 1]] for t in range(size)])
+        scores.append(head)
     sums, sets, shapes, crossing, inside = _stack_sets(n, policy, candidates, scores)
     sizes = [size for _, _, size in candidates]
-    floors = [_loop_floor(model, shape >> 1, shape & 1)
-              for shape in range(max(shapes) + 1)]
-    bounds = [total + floors[shape] for total, shape in zip(sums, shapes)]
-    lowest: list[float] = []  # the n_best lowest energies so far
-    scored = []
-    for row in sorted(range(len(sums)), key=bounds.__getitem__):
-        if len(lowest) == n_best and bounds[row] > lowest[-1]:
-            break
-        census = _census(sets[row], sizes, crossing, inside)
-        energy = sums[row] + model.loop_energy(census)
-        insort(lowest, energy)
-        del lowest[n_best:]
-        scored.append((energy, row))
+    if len(sums) <= n_best:  # every row is returned: no bound can skip one
+        scored = [
+            (total + model.loop_energy(
+                _census(chosen, sizes, crossing, inside, shape & 1)), chosen)
+            for total, chosen, shape in zip(sums, sets, shapes)
+        ]
+        cutoff = math.inf
+    else:
+        floors = _floor_table(model, n)
+        bounds = [total + floors[shape] for total, shape in zip(sums, shapes)]
+        lowest: list[float] = []  # the n_best lowest energies so far
+        scored = []
+        for row in sorted(range(len(sums)), key=bounds.__getitem__):
+            if len(lowest) == n_best and bounds[row] > lowest[-1]:
+                break
+            chosen = sets[row]
+            census = _census(chosen, sizes, crossing, inside, shapes[row] & 1)
+            energy = sums[row] + model.loop_energy(census)
+            insort(lowest, energy)
+            del lowest[n_best:]
+            scored.append((energy, chosen))
+        cutoff = lowest[-1]
     # a row's arcs are its stacks' arcs in candidate order: stacks pair
     # disjoint positions and each one's left ends are consecutive, so the
     # concatenation is sorted
     best = []
-    for energy, row in scored:
-        if energy > lowest[-1]:
+    for energy, chosen in scored:
+        if energy > cutoff:
             continue
         arcs: tuple[Arc, ...] = ()
-        for c in _members(sets[row]):
-            arcs += _stack_arcs(*candidates[c])
+        while chosen:
+            low = chosen & -chosen
+            chosen ^= low
+            arcs += _stack_arcs(*candidates[low.bit_length() - 1])
         best.append((energy, arcs))
     best.sort()
     del best[n_best:]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import ClassVar, NamedTuple
+from typing import ClassVar, Iterable, NamedTuple
 
 from .loops import ArcNotInStructure, IntervalPlan, build_intervals
 from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard
@@ -83,6 +83,10 @@ class SearchConfig(_ConfigFields):
         if self.n_best < 1:
             raise ValueError("n_best must be positive")
         return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "SearchConfig":
+        return cls(*iterable)  # _replace builds through _make: validate
 
     def rounds_for(self, n: int) -> int:
         return max(1, math.ceil(math.sqrt(n) / 2))

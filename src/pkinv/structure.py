@@ -105,6 +105,12 @@ class Structure(_StructureFields):
         return super().__new__(cls, n, arcs, tuple(partner))
 
     @classmethod
+    def _make(cls, iterable: Iterable) -> "Structure":
+        # _replace builds through _make: validate, and derive partner anew
+        n, arcs, _ = iterable
+        return cls(n, arcs)
+
+    @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Structure":
         return cls(n, tuple(Arc(min(i, j), max(i, j)) for i, j in pairs))
 
@@ -148,6 +154,10 @@ class ValidationPolicy(_PolicyFields):
         if self.min_arc_length < 1:
             raise ValueError("min_arc_length must be at least 1")
         return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ValidationPolicy":
+        return cls(*iterable)  # _replace builds through _make: validate
 
 
 class Violation(NamedTuple):

@@ -7,6 +7,7 @@ stack-placement enumerator, so the two can check each other.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -22,10 +23,11 @@ from pkinv import (
     ValidationPolicy,
     crossing_number,
     energy_of,
+    fold,
     is_compatible,
     validate_target,
 )
-from pkinv.oracle import EnergyModel
+from pkinv.oracle import DEFAULT_MODEL, EnergyModel
 from pkinv.search import CompetitorCensus, MutationOutcome
 from pkinv.sequences import BASES, PAIRS, can_pair
 
@@ -291,6 +293,21 @@ def zuker_mfe(
                     two = min(two, v[i][u] + rest)
             wm1[i][j], wm2[i][j] = one, two
     return min(0.0, wm1[1][n])
+
+
+def fold_digest(
+    cases: list[tuple[str, int]],
+    policy: ValidationPolicy | None = None,
+    model: EnergyModel = DEFAULT_MODEL,
+) -> str:
+    """sha256 over repr((seq, n_best, arcs, energies)) of fold(seq, n_best)
+    for each case, one line each: a cross-commit pin of fold's output."""
+    lines = []
+    for seq, n_best in cases:
+        result = fold(seq, n_best, policy, model)
+        arcs = [[tuple(arc) for arc in s.arcs] for s in result.structures]
+        lines.append(repr((seq, n_best, arcs, result.energies)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def reference_mutate_against_competitors(

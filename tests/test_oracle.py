@@ -1,7 +1,6 @@
 """The reference folding oracle against its independent brute-force twin."""
 
 import gc
-import hashlib
 import math
 import random
 import sys
@@ -25,7 +24,7 @@ from pkinv import (
     parse_structure,
     validate_target,
 )
-from pkinv import oracle
+from pkinv import loops, oracle
 from pkinv.loops import loop_census
 from pkinv.oracle import DEFAULT_MODEL, EnergyModel, ReferenceFoldOracle, SizeGuard
 from pkinv.sequences import IncompatibleInput
@@ -34,6 +33,7 @@ from pkinv.structure import _relations, stacks
 from .helpers import (
     PSEUDOKNOT_18,
     PSEUDOKNOT_18_SEQ,
+    fold_digest,
     naive_min_energy,
     naive_valid_structures,
     random_sequence,
@@ -59,6 +59,16 @@ FRACTIONAL_MODEL = EnergyModel(
 @lru_cache(maxsize=None)
 def all_structures(n):
     return tuple(enumerate_structures(n))
+
+
+@lru_cache(maxsize=None)
+def long_fold_sequences():
+    """40 seeded sequences of n 26-40, random and GC-rich alternating."""
+    rng = random.Random(2024)
+    return tuple(
+        "".join(rng.choice("ACGU" if k % 2 else "GGGCCCAU") for _ in range(26 + k % 15))
+        for k in range(40)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -185,6 +195,16 @@ class TestEnergy:
                 EnergyModel(pseudoknot=bad)
             with pytest.raises(ValueError, match="finite"):
                 EnergyModel.from_mapping({"pair.GC": bad})
+
+    def test_replace_validates_the_model(self):
+        # a negative penalty would void the loop floor fold cuts off by
+        with pytest.raises(ValueError,
+                           match="^loop penalty hairpin must be finite and >= 0$"):
+            DEFAULT_MODEL._replace(hairpin=-50.0)
+        with pytest.raises(ValueError, match="once"):
+            DEFAULT_MODEL._replace(pair_scores=DEFAULT_MODEL.pair_scores[1:])
+        swapped = DEFAULT_MODEL._replace(pair_scores=DEFAULT_MODEL.pair_scores[::-1])
+        assert swapped == DEFAULT_MODEL
 
     def test_pair_scores_list_each_pair_once(self):
         # as a dict the scores would keep the last GC and cover PAIRS
@@ -316,19 +336,25 @@ class TestFold:
     def test_long_folds_are_pinned(self):
         # beyond test_equals_scored_enumeration's n <= 24: a cross-commit
         # contract on fold's output at n 26-40
-        rng = random.Random(2024)
-        lines = []
-        for k in range(40):
-            alphabet = "ACGU" if k % 2 else "GGGCCCAU"  # random, GC-rich
-            seq = "".join(rng.choice(alphabet) for _ in range(26 + k % 15))
-            for n_best in (1, 50):
-                result = fold(seq, n_best)
-                arcs = [[tuple(arc) for arc in s.arcs] for s in result.structures]
-                lines.append(repr((seq, n_best, arcs, result.energies)))
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == (
+        cases = [(seq, n_best) for seq in long_fold_sequences() for n_best in (1, 50)]
+        assert fold_digest(cases) == (
             "c56238ea8fc14a1391873e36d7aab16254c15bf5de93c21588a5231e8c25d022"
         )
+
+    @pytest.mark.parametrize("model, digest", [
+        (CENSUS_MODEL,
+         "3047cdba18132adc115e530761c9b6fc386e92601e4958599cb863f3e3dfc676"),
+        (FRACTIONAL_MODEL,
+         "479bd07898750698ef6a268b61eba586948703dd881e77391f5cb13aaae26942"),
+        (EnergyModel(pseudoknot=0.5),  # a pseudoknot cheaper than a hairpin
+         "5a81416b049f58626bf12536a11df2a086693f572f7f5d2ef7b07dc1a24b5c2a"),
+    ], ids=["census", "fractional", "cheap-pseudoknot"])
+    def test_folds_under_other_models_are_pinned(self, model, digest):
+        # the long folds under models whose sums round and whose knotted
+        # rows can win, at n_best on both sides of the row count
+        cases = [(seq, n_best) for seq in long_fold_sequences()
+                 for n_best in (1, 3, 50)]
+        assert fold_digest(cases, model=model) == digest
 
     @pytest.mark.parametrize("model", [DEFAULT_MODEL, CENSUS_MODEL, FRACTIONAL_MODEL])
     def test_loop_floor_bounds_loop_energy(self, model):
@@ -403,6 +429,59 @@ class TestFold:
             alphabet = "ACGU" if k % 2 else "GGGCCCAU"  # random, GC-rich
             fold("".join(rng.choice(alphabet) for _ in range(36 + k % 5)))
         assert calls <= 10 * 20
+
+    def test_folds_within_n_best_take_no_floor(self, monkeypatch):
+        # every row is returned, so no bound is built and no floor taken;
+        # no other test folds under this model, so no floor table is cached
+        def refuse(*args):
+            raise AssertionError("_loop_floor called")
+
+        model = EnergyModel(hairpin=2.5)
+        monkeypatch.setattr(oracle, "_loop_floor", refuse)
+        rng = random.Random(8)
+        for trial in range(20):
+            seq = random_sequence(rng, 12 + trial % 5)
+            expected = sorted(
+                (energy_of(seq, s, model), s.arcs)
+                for s in all_structures(len(seq))
+                if is_compatible(seq, s)
+            )
+            assert len(expected) <= 50
+            result = fold(seq, 50, model=model)
+            got = [(e, s.arcs) for s, e in zip(result.structures, result.energies)]
+            assert got == expected
+
+    def test_nested_folds_group_no_pseudoknot(self, monkeypatch):
+        # a row whose stacks cross nowhere forms no pseudoknot
+        policy = ValidationPolicy(k=2)
+        rng = random.Random(9)
+        seqs = [random_sequence(rng, 24 + k) for k in range(8)]
+        expected = [fold(seq, n_best, policy) for seq in seqs for n_best in (1, 50)]
+
+        def refuse(*args):
+            raise AssertionError("_pseudoknot_groups called")
+
+        monkeypatch.setattr(loops, "_pseudoknot_groups", refuse)
+        assert [fold(seq, n_best, policy)
+                for seq in seqs for n_best in (1, 50)] == expected
+
+    def test_floor_cache_is_bounded(self):
+        # folds alternating among more models than the cache holds tables
+        # equal a fold that built its floors afresh
+        maxsize = oracle._floor_table.cache_info().maxsize
+        assert maxsize is not None
+        models = [EnergyModel(hairpin=1.0 + k, multi=0.5 * k)
+                  for k in range(maxsize + 3)]
+        seqs = long_fold_sequences()[:3]
+        expected = []
+        for model in models:
+            for seq in seqs:
+                oracle._floor_table.cache_clear()
+                expected.append(fold(seq, 1, model=model))
+        for _ in range(2):
+            assert [fold(seq, 1, model=model)
+                    for model in models for seq in seqs] == expected
+        assert oracle._floor_table.cache_info().currsize <= maxsize
 
     def test_structure_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_STRUCTURES", 1000)

@@ -316,6 +316,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="^n_best must be positive$"):
             SearchConfig(n_best=0)
 
+    def test_replace_validates_the_config(self):
+        with pytest.raises(ValueError, match="^n_best must be positive$"):
+            SearchConfig()._replace(n_best=0)
+        assert SearchConfig()._replace(rng_seed=4) == SearchConfig(rng_seed=4)
+
     def test_fixed_parameters_are_not_settable(self):
         with pytest.raises(TypeError):
             SearchConfig(mutation_retries=3)

@@ -231,6 +231,13 @@ class TestValidate:
         with pytest.raises(ValueError, match="^min_arc_length must be at least 1$"):
             ValidationPolicy(min_arc_length=0)
 
+    def test_replace_validates_the_policy(self):
+        with pytest.raises(ValueError, match="^k must be at least 2$"):
+            ValidationPolicy()._replace(k=1)
+        with pytest.raises(ValueError, match="^sigma must be at least 1$"):
+            ValidationPolicy._make((3, 0, 4))
+        assert ValidationPolicy()._replace(sigma=2) == ValidationPolicy(sigma=2)
+
     @settings(max_examples=100, deadline=None)
     @given(structures())
     def test_crossing_check_matches_crossing_number(self, s):
@@ -312,6 +319,15 @@ class TestRecord:
     def test_repr_shows_n_and_arcs_only(self):
         s = Structure.from_pairs(6, [(1, 6)])
         assert repr(s) == "Structure(n=6, arcs=(Arc(i=1, j=6),))"
+
+    def test_replace_validates_and_derives_partner(self):
+        s = parse_structure("((....))")
+        assert s._replace(arcs=()) == Structure(8, ())
+        assert s._replace(arcs=((2, 7),)) == Structure(8, [(2, 7)])
+        with pytest.raises(ValueError, match="outside positions"):
+            s._replace(n=6)
+        with pytest.raises(ValueError, match="paired more than once"):
+            s._replace(arcs=((1, 8), (2, 8)))
 
     @pytest.mark.parametrize("make", [
         lambda s: Structure._trusted(s.n, s.arcs),
