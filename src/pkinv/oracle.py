@@ -38,14 +38,14 @@ from .structure import (
     Structure,
     ValidationPolicy,
     _has_clique,
-    _relations,
     _stack_arcs,
+    _stack_masks,
 )
 
 # Candidate stacks one fold or enumeration may list: above the 825 of the
 # full enumeration at length 28 and the 650 of the widest fold of 40 or
 # fewer bases that completed in a seeded scan.  Each structure mask is
-# that many bits wide, and the crossing and clash masks hold its square,
+# that many bits wide, and the crossing and overlap masks hold its square,
 # at most 1 Mbit.
 MAX_CANDIDATES = 1024
 # Structures one fold or enumeration may visit: above the 161k valid
@@ -176,9 +176,26 @@ def energy_of(
 ) -> float:
     """Sum of pair scores over arcs plus loop penalties over the loop census."""
     _require_compatible(seq, s)
-    pair = dict(model.pair_scores)
-    total = sum(pair[seq[i - 1] + seq[j - 1]] for i, j in s.arcs)
+    pair = _pair_table(model)
+    # from 0.0, left to right in sorted arc order, as fold adds them: the
+    # builtin sum compensates its rounding from Python 3.12 on
+    total = 0.0
+    for i, j in s.arcs:
+        total += pair[seq[i - 1]][seq[j - 1]]
     return total + model.loop_energy(loop_census(s))
+
+
+# a process folds under one model, a test run under a few dozen
+@functools.lru_cache(maxsize=32)
+def _pair_table(model: EnergyModel) -> dict[str, dict[str, float]]:
+    """The model's pair scores as pair[x][y] for the pair of bases x, y.
+
+    Every caller shares the cached dictionaries and only reads them.
+    """
+    pair: dict[str, dict[str, float]] = {}
+    for name, score in model.pair_scores:
+        pair.setdefault(name[0], {})[name[1]] = score
+    return pair
 
 
 def _candidate_stacks(
@@ -236,29 +253,26 @@ def _stack_sets(
     sum: the scores[c] of its candidates c, added in sorted arc order,
     and its shape, 2 * free + knotted for _loop_floor: free counts its
     stacks that cross none of its stacks, and knotted is 1 when any two
-    of them cross.  The candidates' crossing and inside masks, from
-    structure._relations, come back too.
+    of them cross.  The candidates' crossing and inside masks come back
+    too.
+
+    All masks come from one pass over positions (structure._stack_masks)
+    that builds the four prefix masks of the stacks whose left arm
+    starts at or before p (opens), whose left arm ends before p (lefts),
+    whose right arm starts at or before p (rights) and whose right arm
+    ends at or before p (closes).  A candidate c with arms [i, a] and
+    [b, j] may not join the candidates sharing one of its positions,
+    overlap[c] = (opens[a] & ~lefts[i]) | (rights[a] & ~closes[i - 1])
+    | (opens[j] & ~lefts[b]) | (rights[j] & ~closes[b - 1]), nor the
+    runs with outer arc (a + 1, b - 1), just inside c.
     """
     cap = MAX_STRUCTURES
-    covering = [0] * (n + 2)  # candidates by paired position
-    outer: dict[tuple[int, int], int] = {}  # candidates by outer arc
-    for c, (i, j, size) in enumerate(candidates):
-        bit = 1 << c
-        for t in range(size):
-            covering[i + t] |= bit
-            covering[j - t] |= bit
-        outer[i, j] = outer.get((i, j), 0) | bit
-    compatible = []
-    for i, j, size in candidates:
-        # runs merge when one's outer arc lies just inside the other; any
-        # other shared arc shares positions.  The search adds only runs
-        # above a chosen c, and a run c would sit just inside starts left
-        # of c, so only the run just inside c, keyed by its outer arc, counts
-        clash = outer.get((i + size, j - size), 0)
-        for t in range(size):
-            clash |= covering[i + t] | covering[j - t]
-        compatible.append(~clash)
-    crossing, inside = _relations(n, candidates)
+    crossing, inside, overlap, inner = _stack_masks(n, candidates)
+    # runs merge when one's outer arc lies just inside the other; any
+    # other shared arc shares positions.  The search adds only runs above
+    # a chosen c, and a run c would sit just inside starts left of c, so
+    # only the runs just inside c count
+    compatible = [~(clash | run) for clash, run in zip(overlap, inner)]
     max_mutual = policy.k - 1
     # the empty structure, then each child as it is found
     sums: list[float] = [0.0]
@@ -389,7 +403,8 @@ def fold(
 
     - the floors come from a table per model and length, which
       _floor_table keeps for the last few dozen, since a floor depends
-      only on the model and the shape;
+      only on the model and the shape; likewise the pair scores come
+      from the nested table _pair_table keeps per model;
     - with at most n_best structures every one is returned, so all are
       scored with no floor, bound or sort, which could skip none;
     - a score tuple extends the previous candidate's when both share an
@@ -403,18 +418,18 @@ def fold(
     policy = policy or ValidationPolicy()
     n = len(seq)
     candidates = _candidate_stacks(policy, _pair_masks(seq))
-    pair = dict(model.pair_scores)
+    pair = _pair_table(model)
     # the sizes of one outer arc are consecutive candidates, so each
     # score tuple after the first is the one before it plus one arc
     scores: list[tuple[float, ...]] = []
     outer = None
     for i, j, size in candidates:
         if outer == (i, j):
-            head += (pair[seq[i + size - 2] + seq[j - size]],)
+            head += (pair[seq[i + size - 2]][seq[j - size]],)
         else:
             outer = i, j
             # tuple(list) builds short tuples faster than tuple(generator)
-            head = tuple([pair[seq[i + t - 1] + seq[j - t - 1]] for t in range(size)])
+            head = tuple([pair[seq[i + t - 1]][seq[j - t - 1]] for t in range(size)])
         scores.append(head)
     sums, sets, shapes, crossing, inside = _stack_sets(n, policy, candidates, scores)
     sizes = [size for _, _, size in candidates]
@@ -455,10 +470,10 @@ def fold(
         best.append((energy, arcs))
     best.sort()
     del best[n_best:]
-    return FoldResult(
-        tuple(Structure._trusted(n, arcs) for _, arcs in best),
-        tuple(energy for energy, _ in best),
-    )
+    return FoldResult._make((
+        tuple([Structure._trusted(n, arcs) for _, arcs in best]),
+        tuple([energy for energy, _ in best]),
+    ))
 
 
 class ReferenceFoldOracle:

@@ -5,14 +5,15 @@ half-plane, with every position in at most one arc.  This module owns
 parsing and serialization of the extended dot-bracket notation, crossing
 analysis, canonicity validation, structure distance, and the stack
 view used by the rest of the package: stacks as (i, j, size) triples,
-their crossing and nesting masks, and the search for mutually crossing
-stacks.
+their crossing, nesting and overlap masks, and the search for mutually
+crossing stacks.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 UNPAIRED_CHAR = ":"
@@ -102,7 +103,8 @@ class Structure(_StructureFields):
         for i, j in arcs:
             partner[i] = j
             partner[j] = i
-        return super().__new__(cls, n, arcs, tuple(partner))
+        # tuple.__new__ skips super() and the namedtuple's __new__ frame
+        return tuple.__new__(cls, (n, arcs, tuple(partner)))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "Structure":
@@ -289,24 +291,74 @@ def _relations(
     a's.  All arcs of one stack relate alike to any other arc, so outer
     arcs decide stack-level crossing and nesting.  The stacks may share
     positions, as the oracle's candidate stacks do.
+
+    Both come from _stack_masks, with the overlap masks: bit b of
+    overlap[a] is set when stacks a and b share a position, so a stack
+    overlaps itself.  One pass over positions makes four prefix masks,
+    each holding the stacks for which, at position p:
+
+    - opens[p]: the left arm starts at or before p;
+    - lefts[p]: the left arm ends before p;
+    - rights[p]: the right arm starts at or before p;
+    - closes[p]: the right arm ends at or before p.
+
+    For the stack (i, j, size), with arms [i, a] and [b, j]:
+
+    - crossing is (opens[j - 1] & ~opens[i] & ~closes[j])
+      | (opens[i - 1] & closes[j - 1] & ~closes[i]);
+    - inside is opens[j] & ~opens[i] & closes[j - 1];
+    - overlap is (opens[a] & ~lefts[i]) | (rights[a] & ~closes[i - 1])
+      | (opens[j] & ~lefts[b]) | (rights[j] & ~closes[b - 1]), the other
+      stacks' left and right arms against its left, then its right arm,
+      since arms [x, y] and [x', y'] meet when x' <= y and y' >= x.
     """
-    opens = [0] * (n + 2)  # stacks by outer i, then by outer i <= p
-    closes = [0] * (n + 2)  # stacks by outer j, then by outer j <= p
-    for c, (i, j, _) in enumerate(triples):
-        opens[i] = (2 << c) - 1  # the triples are sorted by i
-        closes[j] |= 1 << c
-    for p in range(1, n + 2):
-        opens[p] |= opens[p - 1]
-        closes[p] |= closes[p - 1]
+    crossing, inside, _, _ = _stack_masks(n, triples)
+    return crossing, inside
+
+
+def _stack_masks(
+    n: int, triples: Sequence[tuple[int, int, int]]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Crossing, inside, overlap and inner masks of stacks (i, j, size)
+    sorted by i, from the four prefix masks that _relations describes.
+
+    Bit b of inner[a] is set when b's outer arc lies just inside a's
+    innermost arc, (a + 1, b - 1) for the arms [i, a] and [b, j], so
+    that the two stacks form one longer run; maximal stacks have none.
+    """
+    # stacks by outer i, by a + 1, by b and by outer j; the prefix ORs
+    # of these are opens, lefts, rights and closes
+    starts = [0] * (n + 2)
+    lefts = [0] * (n + 2)
+    rights = [0] * (n + 2)
+    ends = [0] * (n + 2)
+    bit = 1
+    for i, j, size in triples:
+        starts[i] |= bit
+        lefts[i + size] |= bit
+        rights[j - size + 1] |= bit
+        ends[j] |= bit
+        bit <<= 1
+    opens = list(accumulate(starts, operator.or_))
+    lefts = list(accumulate(lefts, operator.or_))
+    rights = list(accumulate(rights, operator.or_))
+    closes = list(accumulate(ends, operator.or_))
     crossing = []
     inside = []
-    for i, j, _ in triples:
+    overlap = []
+    inner = []
+    for i, j, size in triples:
         # outer arcs with i < i' < j < j' or i' < i < j' < j
         crossing.append((opens[j - 1] & ~opens[i] & ~closes[j])
                         | (opens[i - 1] & closes[j - 1] & ~closes[i]))
         # outer arcs with i < i' < j' < j
         inside.append(opens[j] & ~opens[i] & closes[j - 1])
-    return crossing, inside
+        a = i + size - 1
+        b = j - size + 1
+        overlap.append((opens[a] & ~lefts[i]) | (rights[a] & ~closes[i - 1])
+                       | (opens[j] & ~lefts[b]) | (rights[j] & ~closes[b - 1]))
+        inner.append(starts[a + 1] & ends[b - 1])
+    return crossing, inside, overlap, inner
 
 
 def _has_clique(mask: int, size: int, crossing: list[int]) -> bool:

@@ -56,6 +56,23 @@ TWO_LOOP_10 = Structure.from_pairs(10, [(2, 8), (3, 5), (7, 9)])
 # Seven stacks whose crossings form an odd cycle, so no two bracket
 # families can write it: a 3-noncrossing target that needs a third.
 SEVEN_CYCLE_42 = "(((((([[[[[[)))(((]]][[[))){{{]]])))}}}]]]"
+# Five stacks whose crossings form a 5-cycle, written the same way.
+FIVE_CYCLE_30 = "((({{{[[[)))(((]]][[[)))}}}]]]"
+
+
+def spaced_runs(runs: str, spacer: int) -> str:
+    """A dot-bracket string of runs of three characters with spacer
+    unpaired bases put between consecutive runs."""
+    return ("." * spacer).join(runs[t:t + 3] for t in range(0, len(runs), 3))
+
+
+# The paper's headline class: 3-noncrossing targets whose crossing graph
+# is an odd cycle.  The 5-cycle with 0-3-base spacers (30-57 nt), then the
+# 7-cycle with 0-2-base spacers (42-68 nt).
+ODD_CYCLE_FAMILY = (
+    tuple(spaced_runs(FIVE_CYCLE_30, spacer) for spacer in range(4))
+    + tuple(spaced_runs(SEVEN_CYCLE_42, spacer) for spacer in range(3))
+)
 
 
 def _env() -> dict[str, str]:

@@ -71,6 +71,17 @@ def long_fold_sequences():
     )
 
 
+def seeded_sequences(seed, count, shortest, longest):
+    """count seeded sequences of n shortest-longest, random and GC-rich
+    alternating."""
+    rng = random.Random(seed)
+    return tuple(
+        "".join(rng.choice("ACGU" if k % 2 else "GGGCCCAU")
+                for _ in range(rng.randint(shortest, longest)))
+        for k in range(count)
+    )
+
+
 @lru_cache(maxsize=None)
 def floor_samples():
     """Distinct ((free, knotted), loop census) pairs, as oracle._loop_floor
@@ -225,6 +236,30 @@ class TestEnergy:
         with pytest.raises(ValueError, match="'pair.GC' given twice"):
             EnergyModel.from_file(path)
 
+    def test_pair_scores_add_in_sorted_arc_order(self):
+        # fold adds a structure's pair scores from 0.0, left to right in
+        # sorted arc order; energy_of must add them alike, not by a
+        # compensated sum such as the builtin sum's from Python 3.12 on
+        seq = "UUAGUUGUGCCGCA"
+        s = parse_structure(":::::(((:::)))")
+        pair = dict(FRACTIONAL_MODEL.pair_scores)
+        scores = [pair[seq[i - 1] + seq[j - 1]] for i, j in s.arcs]
+        total = 0.0
+        for score in scores:
+            total += score
+        assert total != math.fsum(scores)  # the two orders round apart here
+        expected = total + FRACTIONAL_MODEL.loop_energy(loop_census(s))
+        assert energy_of(seq, s, FRACTIONAL_MODEL) == expected
+        result = fold(seq, 1, model=FRACTIONAL_MODEL)
+        assert result.mfe == s and result.mfe_energy == expected
+        # and for every structure of some longer suboptimal lists
+        rng = random.Random(12)
+        for _ in range(20):
+            seq = random_sequence(rng, rng.randint(14, 28))
+            result = fold(seq, 50, model=FRACTIONAL_MODEL)
+            assert [energy_of(seq, s, FRACTIONAL_MODEL)
+                    for s in result.structures] == list(result.energies)
+
 
 class TestFold:
     def test_unpairable_sequence_folds_open(self):
@@ -356,6 +391,23 @@ class TestFold:
                  for n_best in (1, 3, 50)]
         assert fold_digest(cases, model=model) == digest
 
+    @pytest.mark.parametrize("policy, seqs, digest", [
+        (ValidationPolicy(k=2), long_fold_sequences(),
+         "14241871c4c953ecec89373203d3e8d1ca336da40447d51f76713b7acf93a370"),
+        (ValidationPolicy(sigma=2, min_arc_length=3), seeded_sequences(31, 30, 16, 24),
+         "f5e756eb2fa5a722b63df81891cf793ac6387f01397e073d00f0ce1356c24d95"),
+        (ValidationPolicy(k=4, sigma=2), seeded_sequences(32, 30, 16, 24),
+         "c50f818c7620f47f627e97141e61467db07f8e6571acae3809abc7e927b6318e"),
+        # many more candidate stacks: n 10-16 took 2 s under this policy
+        (ValidationPolicy(sigma=1, min_arc_length=1), seeded_sequences(33, 30, 10, 14),
+         "e7254fadc6a5258ecb32aac3bab03285bf0b1d51522b0f598c6c39f580e98543"),
+    ], ids=["noncrossing", "sigma2-arc3", "k4-sigma2", "sigma1-arc1"])
+    def test_folds_under_other_policies_are_pinned(self, policy, seqs, digest):
+        # a cross-commit contract past the independent enumerator's n 14,
+        # with the short stacks and arms of sigma 1 and 2
+        cases = [(seq, n_best) for seq in seqs for n_best in (1, 3, 50)]
+        assert fold_digest(cases, policy) == digest
+
     @pytest.mark.parametrize("model", [DEFAULT_MODEL, CENSUS_MODEL, FRACTIONAL_MODEL])
     def test_loop_floor_bounds_loop_energy(self, model):
         attained = set()
@@ -482,6 +534,27 @@ class TestFold:
             assert [fold(seq, 1, model=model)
                     for model in models for seq in seqs] == expected
         assert oracle._floor_table.cache_info().currsize <= maxsize
+
+    def test_pair_table_cache_is_bounded(self):
+        # folds and energies under more models than the cache holds tables
+        # equal those that built their pair table afresh
+        maxsize = oracle._pair_table.cache_info().maxsize
+        assert maxsize is not None
+        models = [EnergyModel.from_mapping({"pair.GC": -1.0 - k, "pair.UA": -0.5 * k})
+                  for k in range(maxsize + 3)]
+        seqs = long_fold_sequences()[:3]
+        expected = []
+        for model in models:
+            for seq in seqs:
+                oracle._pair_table.cache_clear()
+                result = fold(seq, 3, model=model)
+                expected.append(result)
+                assert [energy_of(seq, s, model) for s in result.structures] == list(
+                    result.energies)
+        for _ in range(2):
+            assert [fold(seq, 3, model=model)
+                    for model in models for seq in seqs] == expected
+        assert oracle._pair_table.cache_info().currsize <= maxsize
 
     def test_structure_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_STRUCTURES", 1000)

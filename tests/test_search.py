@@ -41,6 +41,7 @@ from pkinv.sequences import (_unpaired_first, can_pair, is_compatible,
                              random_compatible_sequence, sites)
 
 from .helpers import (
+    ODD_CYCLE_FAMILY,
     PSEUDOKNOT_18,
     SEVEN_CYCLE_42,
     crossing_graph_is_bipartite,
@@ -579,16 +580,20 @@ class TestInverseFold:
             "89f49b07a8755109dcaf4a265455e4090e7bbde4892412ebd74e94d0f1708edd"
         )
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_designs_a_three_family_target(self, seed):
-        # an odd cycle of crossing stacks, which two bracket families
-        # cannot write, unlike the H-type pseudoknot
+        # odd cycles of crossing stacks, which two bracket families cannot
+        # write, unlike the H-type pseudoknot: the 30- and 39-nt 5-cycles
+        # at every seed, the 42-nt 7-cycle at the first three
         assert crossing_graph_is_bipartite(parse_structure(PSEUDOKNOT_18))
-        target = parse_structure(SEVEN_CYCLE_42)
-        assert not crossing_graph_is_bipartite(target)
-        result = inverse_fold(target, ReferenceFoldOracle(), SearchConfig(rng_seed=seed))
-        refolded = ReferenceFoldOracle().fold(result.sequence, 1).mfe
-        assert structure_distance(refolded, target) == 0
+        texts = ODD_CYCLE_FAMILY[:2] + ((SEVEN_CYCLE_42,) if seed < 3 else ())
+        for text in texts:
+            target = parse_structure(text)
+            assert not crossing_graph_is_bipartite(target)
+            result = inverse_fold(target, ReferenceFoldOracle(),
+                                  SearchConfig(rng_seed=seed))
+            refolded = ReferenceFoldOracle().fold(result.sequence, 1).mfe
+            assert structure_distance(refolded, target) == 0, text
 
 
 def test_bench_span_hooks_name_search_globals():

@@ -21,6 +21,8 @@ from pkinv import (
     structure_distance,
     validate_target,
 )
+from pkinv import oracle
+from pkinv.sequences import _pair_masks
 from pkinv.structure import (
     IllegalCharacter,
     LengthMismatch,
@@ -29,10 +31,19 @@ from pkinv.structure import (
     UnbalancedBracket,
     _relations,
     _stack_arcs,
+    _stack_masks,
     restrict_structure,
 )
 
-from .helpers import PSEUDOKNOT_18, arcs_cross, random_matching, random_valid_structure
+from .helpers import (
+    ODD_CYCLE_FAMILY,
+    PSEUDOKNOT_18,
+    arcs_cross,
+    crossing_graph_is_bipartite,
+    nests_inside,
+    random_matching,
+    random_valid_structure,
+)
 
 HAIRPIN = "(((....)))"
 
@@ -159,6 +170,18 @@ class TestSerialize:
         assert str(s) == f"<Structure n={s.n} arcs=60>"
 
 
+class TestOddCycles:
+    @pytest.mark.parametrize("text", ODD_CYCLE_FAMILY, ids=len)
+    def test_members_are_valid_three_family_targets(self, text):
+        # the paper's headline class: valid 3-noncrossing targets that two
+        # bracket families cannot write
+        s = parse_structure(text)
+        assert s.n == len(text) and 2 * len(s.arcs) == len(text) - text.count(".")
+        assert validate_target(s) == ()
+        assert not crossing_graph_is_bipartite(s)
+        assert parse_structure(serialize_structure(s)) == s
+
+
 class TestCrossingNumber:
     def test_empty(self):
         assert crossing_number(Structure(5, ())) == 0
@@ -206,6 +229,39 @@ class TestStacks:
     def test_partition(self, s):
         arcs = [a for st in stacks(s) for a in _stack_arcs(*st)]
         assert sorted(arcs) == list(s.arcs)
+
+    @pytest.mark.parametrize("policy", [
+        ValidationPolicy(),
+        ValidationPolicy(sigma=1, min_arc_length=1),
+        ValidationPolicy(sigma=2, min_arc_length=3),
+    ], ids=["default", "sigma1-arc1", "sigma2-arc3"])
+    def test_masks_of_candidate_stacks_equal_brute_force(self, policy):
+        # the oracle's candidate stacks share positions; the prefix masks
+        # must still give the stacks sharing a position with each, itself
+        # included, the runs just inside each, and the crossing and
+        # nesting of their outer arcs
+        rng = random.Random(17)
+        checked = 0
+        for trial in range(150):
+            alphabet = "ACGU" if trial % 2 else "GGGCCCAU"  # random, GC-rich
+            seq = "".join(rng.choice(alphabet) for _ in range(rng.randint(4, 30)))
+            triples = oracle._candidate_stacks(policy, _pair_masks(seq))
+            crossing, inside, overlap, inner = _stack_masks(len(seq), triples)
+            assert (crossing, inside) == _relations(len(seq), triples)
+            positions = [{p for arc in _stack_arcs(*t) for p in arc} for t in triples]
+            outer = [Arc(i, j) for i, j, _ in triples]
+            for a in range(len(triples)):
+                assert overlap[a] == sum(1 << b for b in range(len(triples))
+                                         if positions[a] & positions[b])
+                assert crossing[a] == sum(1 << b for b in range(len(triples))
+                                          if arcs_cross(outer[a], outer[b]))
+                assert inside[a] == sum(1 << b for b in range(len(triples))
+                                        if nests_inside(outer[b], outer[a]))
+                i, j, size = triples[a]
+                assert inner[a] == sum(1 << b for b in range(len(triples))
+                                       if outer[b] == (i + size, j - size))
+            checked += len(triples)
+        assert checked >= 700  # 745 stacks under the default policy
 
 
 class TestValidate:
