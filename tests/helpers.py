@@ -8,6 +8,7 @@ stack-placement enumerator, so the two can check each other.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 import pkinv
 from pkinv import (
@@ -99,6 +101,48 @@ def cli_process(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProce
 def run_python(code: str) -> str:
     """Stdout of code run by a fresh interpreter that imports this pkinv."""
     return python_process(code).stdout
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr in the order written
+    stderr: str
+
+
+class _Tee(io.BytesIO):
+    """One stream's bytes, each write also appended to a shared buffer."""
+
+    def __init__(self, shared: io.BytesIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, data) -> int:
+        self.shared.write(data)
+        return super().write(data)
+
+
+def invoke(*args: str) -> CliResult:
+    """Run ``pkinv args`` in this process through ``pkinv.cli.main``.
+
+    stdout and stderr are captured while it runs; an exception other than
+    SystemExit propagates to the caller.
+    """
+    from pkinv.cli import main
+
+    both = io.BytesIO()
+    tees = _Tee(both), _Tee(both)
+    captured = [io.TextIOWrapper(tee, encoding="utf-8", write_through=True)
+                for tee in tees]
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = captured
+    code = 0
+    try:
+        main(list(args))
+    except SystemExit as exit:
+        code = 0 if exit.code is None else exit.code
+    finally:
+        sys.stdout, sys.stderr = streams
+    return CliResult(code, both.getvalue().decode(), tees[1].getvalue().decode())
 
 
 def random_sequence(rng: Random, n: int) -> str:

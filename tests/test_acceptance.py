@@ -7,8 +7,6 @@ import random
 import time
 from collections import deque
 
-from click.testing import CliRunner
-
 from pkinv import (
     Arc,
     SearchConfig,
@@ -25,7 +23,6 @@ from pkinv import (
     serialize_structure,
     structure_distance,
 )
-from pkinv.cli import main as cli_main
 from pkinv.oracle import ReferenceFoldOracle
 from pkinv.search import SearchFailed, build_competitors, perturb_arc
 from pkinv.sequences import is_compatible
@@ -34,6 +31,7 @@ from .helpers import (
     ORDERED_COMPONENTS_65,
     PSEUDOKNOT_18,
     TWO_LOOP_10,
+    invoke,
     naive_min_energy,
     random_sequence,
     random_valid_structure,
@@ -279,8 +277,8 @@ def test_criterion_9_campaign_reproducibility_across_jobs():
         "inverse", "--target", PSEUDOKNOT_18,
         "--trials", "8", "--seed", "5", "--format", "jsonl",
     ]
-    serial = CliRunner().invoke(cli_main, args + ["--jobs", "1"])
-    parallel = CliRunner().invoke(cli_main, args + ["--jobs", "8"])
+    serial = invoke(*args, "--jobs", "1")
+    parallel = invoke(*args, "--jobs", "8")
     assert serial.output == parallel.output
     assert serial.output.strip(), "campaign produced no output"
     elapsed = time.perf_counter() - started

@@ -12,34 +12,29 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import pkinv
 from pkinv import cli, oracle
 from pkinv.cli import main
 
-from .helpers import PSEUDOKNOT_18, cli_process, run_python
-
-
-def run(*args):
-    return CliRunner().invoke(main, list(args))
+from .helpers import PSEUDOKNOT_18, cli_process, invoke, run_python
 
 
 class TestInverse:
     def test_invalid_target_exits_2(self):
-        result = run("inverse", "--target", "((..))")
+        result = invoke("inverse", "--target", "((..))")
         assert result.exit_code == 2
         assert "incorrect structure" in result.output
 
     def test_single_trial_success(self):
-        result = run("inverse", "--target", "(((....)))", "--seed", "1")
+        result = invoke("inverse", "--target", "(((....)))", "--seed", "1")
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         assert lines[0].startswith("target")
         assert set(lines[1]) <= set("ACGU")
 
     def test_batch_report(self):
-        result = run(
+        result = invoke(
             "inverse", "--target", "(((....)))", "--trials", "5", "--seed", "3"
         )
         assert result.exit_code == 0
@@ -47,7 +42,7 @@ class TestInverse:
         assert "trials=5" in report and "successes=5" in report
 
     def test_jsonl_round_trips(self):
-        result = run(
+        result = invoke(
             "inverse", "--target", PSEUDOKNOT_18,
             "--trials", "3", "--seed", "1", "--format", "jsonl",
         )
@@ -65,34 +60,35 @@ class TestInverse:
         args = ["inverse", "--target", "(((..[[[..)))..]]]", "--trials", "5",
                 "--seed", "2", "--format", "jsonl"]
         serial_trace = tmp_path / "trace1.jsonl"
-        serial = run(*args, "--jobs", "1", "--trace", str(serial_trace))
+        serial = invoke(*args, "--jobs", "1", "--trace", str(serial_trace))
         assert serial.exit_code == 1
         assert '"reason"' in serial.output.splitlines()[1]
         for jobs in ("2", "3"):
             trace = tmp_path / f"trace{jobs}.jsonl"
-            result = run(*args, "--jobs", jobs, "--trace", str(trace))
+            result = invoke(*args, "--jobs", jobs, "--trace", str(trace))
             assert (result.exit_code, result.output) == (1, serial.output)
             assert trace.read_bytes() == serial_trace.read_bytes()
 
     def test_whole_process_campaign_equals_the_in_process_run(self, tmp_path):
-        # CliRunner returns before the interpreter's exit, which flushes the
+        # invoke returns before the interpreter's exit, which flushes the
         # streams and skips the collection of what it froze
         args = ["inverse", "--target", "(((..[[[..)))..]]]", "--trials", "5",
                 "--seed", "2", "--format", "jsonl", "--jobs", "2"]
         process_trace = tmp_path / "process.jsonl"
         done = cli_process(*args, "--trace", str(process_trace))
         runner_trace = tmp_path / "runner.jsonl"
-        result = run(*args, "--trace", str(runner_trace))
+        result = invoke(*args, "--trace", str(runner_trace))
         assert result.exit_code == 1  # trial 1 fails, as at --jobs 1
         assert (done.returncode, done.stderr) == (1, b"")
-        assert done.stdout == result.stdout_bytes
+        assert result.stderr == ""
+        assert done.stdout == result.output.encode()
         assert process_trace.read_bytes() == runner_trace.read_bytes()
 
     def test_import_leaves_the_process_pool_out(self):
         # the forked workers need no pool, neither to import nor to run, and
-        # the engine is loaded before the fork, so no worker imports it
+        # the engine is loaded before the fork, so no worker imports it;
+        # main runs directly, as tests.helpers would load the engine first
         code = ("import os, sys\n"
-                "from click.testing import CliRunner\n"
                 "import pkinv.cli\n"
                 "loaded = sys.modules.keys()"
                 " & {'concurrent.futures.process', 'multiprocessing'}\n"
@@ -101,12 +97,14 @@ class TestInverse:
                 "    forks.append('pkinv.search' in sys.modules)\n"
                 "    return fork()\n"
                 "os.fork, os.cpu_count = recording_fork, lambda: 2\n"
-                "result = CliRunner().invoke(pkinv.cli.main, ['inverse',"
-                " '--target', '(((....)))', '--jobs', '2', '--trials', '3'])\n"
-                "assert result.exit_code == 0, result.output\n"
+                "try:\n"
+                "    pkinv.cli.main(['inverse', '--target', '(((....)))',"
+                " '--jobs', '2', '--trials', '3'])\n"
+                "except SystemExit as exit:\n"
+                "    assert exit.code == 0, exit.code\n"
                 "print(sorted(loaded), sorted(sys.modules.keys()"
                 " & {'concurrent.futures.process', 'multiprocessing'}), forks)")
-        assert run_python(code).strip() == "[] [] [True]"
+        assert run_python(code).splitlines()[-1] == "[] [] [True]"
 
     @pytest.mark.parametrize("failing", [0, 1])
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -123,10 +121,10 @@ class TestInverse:
             return run_trial(*args)
 
         monkeypatch.setattr(cli, "_run_trial", faulty)
-        result = CliRunner().invoke(main, ["inverse", "--target", "(((....)))",
-                                           "--jobs", jobs, "--trials", "2"])
+        result = invoke("inverse", "--target", "(((....)))", "--jobs", jobs,
+                        "--trials", "2")
         assert result.exit_code == 70
-        assert result.stdout == ""
+        assert result.output == result.stderr  # nothing on stdout
         assert result.stderr == (
             f"internal error: trial {failing}: KeyError: 'no such loop'\n"
         )
@@ -144,8 +142,8 @@ class TestInverse:
             return run_trial(*args)
 
         monkeypatch.setattr(cli, "_run_trial", faulty)
-        result = CliRunner().invoke(main, ["inverse", "--target", "(((....)))",
-                                           "--jobs", "2", "--trials", "4"])
+        result = invoke("inverse", "--target", "(((....)))", "--jobs", "2",
+                        "--trials", "4")
         assert result.exit_code == 70
         assert result.stderr == "internal error: trial 1: ValueError: bad 1\n"
 
@@ -159,8 +157,8 @@ class TestInverse:
             return run_trial(*args)
 
         monkeypatch.setattr(cli, "_run_trial", dying)
-        result = CliRunner().invoke(main, ["inverse", "--target", "(((....)))",
-                                           "--jobs", "2", "--trials", "2"])
+        result = invoke("inverse", "--target", "(((....)))", "--jobs", "2",
+                        "--trials", "2")
         assert result.exit_code == 70
         assert result.stderr == (
             "internal error: trial worker 1 exited with status 3 without its "
@@ -180,8 +178,8 @@ class TestInverse:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(os, "fork", second_fork_fails)
-        result = CliRunner().invoke(main, ["inverse", "--target", "(((....)))",
-                                           "--jobs", "3", "--trials", "3"])
+        result = invoke("inverse", "--target", "(((....)))", "--jobs", "3",
+                        "--trials", "3")
         assert result.exit_code == 70
         assert result.stderr == "internal error: no process left\n"
         with pytest.raises(ChildProcessError):
@@ -204,29 +202,29 @@ class TestInverse:
 
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(os, "fork", counting_fork)
-        result = run("inverse", "--target", "(((....)))", "--jobs", jobs,
-                     "--trials", trials, "--format", "jsonl")
+        result = invoke("inverse", "--target", "(((....)))", "--jobs", jobs,
+                        "--trials", trials, "--format", "jsonl")
         assert result.exit_code == 0, result.output
         assert len(calls) == forks
         assert len(result.output.splitlines()) == int(trials) + 1
 
     def test_without_fork_the_campaign_runs_in_this_process(self, monkeypatch):
-        serial = run("inverse", "--target", "(((....)))", "--trials", "3",
-                     "--format", "jsonl")
+        serial = invoke("inverse", "--target", "(((....)))", "--trials", "3",
+                        "--format", "jsonl")
         monkeypatch.delattr(os, "fork")
-        result = run("inverse", "--target", "(((....)))", "--trials", "3",
-                     "--jobs", "3", "--format", "jsonl")
+        result = invoke("inverse", "--target", "(((....)))", "--trials", "3",
+                        "--jobs", "3", "--format", "jsonl")
         assert result.exit_code == 0
         assert result.output == serial.output
 
     def test_target_from_file(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("(((....)))\n")
-        result = run("inverse", "--target", str(path), "--seed", "1")
+        result = invoke("inverse", "--target", str(path), "--seed", "1")
         assert result.exit_code == 0
 
     def test_tsv_format(self):
-        result = run(
+        result = invoke(
             "inverse", "--target", "(((....)))", "--trials", "2",
             "--seed", "0", "--format", "tsv",
         )
@@ -237,7 +235,7 @@ class TestInverse:
         assert len(rows) == 2
 
     def test_hundred_trial_campaign_all_succeed(self):
-        result = run(
+        result = invoke(
             "inverse", "--target", "(((....)))", "--trials", "100", "--seed", "1"
         )
         assert result.exit_code == 0
@@ -246,7 +244,7 @@ class TestInverse:
 
     def test_trace_file_holds_search_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        result = run(
+        result = invoke(
             "inverse", "--target", "(((....)))", "--trials", "2",
             "--seed", "0", "--trace", str(path),
         )
@@ -257,15 +255,15 @@ class TestInverse:
 
     def test_env_var_overrides_seed(self, monkeypatch):
         monkeypatch.setenv("PKINV_INVERSE_SEED", "9")
-        with_env = run("inverse", "--target", "(((....)))", "--format", "jsonl")
-        explicit = run("inverse", "--target", "(((....)))", "--seed", "9",
-                       "--format", "jsonl")
+        with_env = invoke("inverse", "--target", "(((....)))", "--format", "jsonl")
+        explicit = invoke("inverse", "--target", "(((....)))", "--seed", "9",
+                          "--format", "jsonl")
         assert with_env.output == explicit.output
 
 
     def test_campaign_output_is_pinned(self):
         # the jsonl campaign output is a cross-commit determinism contract
-        result = run(
+        result = invoke(
             "inverse", "--target", PSEUDOKNOT_18,
             "--trials", "4", "--seed", "5", "--format", "jsonl",
         )
@@ -277,7 +275,7 @@ class TestInverse:
     def test_trace_output_is_pinned(self, tmp_path):
         # each adjust record holds the round's mutation count and fallbacks
         path = tmp_path / "trace.jsonl"
-        result = run(
+        result = invoke(
             "inverse", "--target", "(((::[[[::)))::]]]::::::",
             "--trials", "6", "--seed", "3", "--format", "jsonl",
             "--trace", str(path),
@@ -294,10 +292,10 @@ class TestInverse:
     def test_trace_that_cannot_be_written_exits_2(self, trials):
         # 3 trials' trace fits the write buffer and fails only when flushed;
         # 60 trials' trace fails at a write
-        result = run("inverse", "--target", "(((....)))", "--trials", str(trials),
-                     "--format", "jsonl", "--trace", "/dev/full")
+        result = invoke("inverse", "--target", "(((....)))", "--trials",
+                        str(trials), "--format", "jsonl", "--trace", "/dev/full")
         assert result.exit_code == 2
-        assert result.stdout == ""
+        assert result.output == result.stderr  # nothing on stdout
         assert result.stderr.startswith("cannot write --trace file /dev/full: ")
         assert result.stderr.count("\n") == 1
 
@@ -310,19 +308,18 @@ class TestInverse:
 
         monkeypatch.setattr(cli, "_run_trial", no_trial)
         path = tmp_path / "missing" / "t.jsonl" if where == "missing-dir" else tmp_path
-        result = CliRunner().invoke(
-            main, ["inverse", "--target", "(((....)))", "--trace", str(path)]
-        )
+        result = invoke("inverse", "--target", "(((....)))", "--trace", str(path))
         assert result.exit_code == 2
-        assert result.stdout == ""
+        assert result.output == result.stderr  # nothing on stdout
         assert "Invalid value for '--trace'" in result.stderr
         assert "Traceback" not in result.output
 
     def test_zero_trials_report_no_seed_range(self):
-        result = run("inverse", "--target", "(((....)))", "--trials", "0")
+        result = invoke("inverse", "--target", "(((....)))", "--trials", "0")
         assert result.exit_code == 0
         assert result.output.splitlines()[-1].endswith(" seeds=none")
-        result = run("inverse", "--target", "(((....)))", "--trials", "1", "--seed", "4")
+        result = invoke("inverse", "--target", "(((....)))", "--trials", "1",
+                        "--seed", "4")
         assert result.output.splitlines()[-1].endswith(" seeds=4..4")
 
     def test_text_report_p90_is_nearest_rank(self, monkeypatch):
@@ -336,7 +333,7 @@ class TestInverse:
             }
 
         monkeypatch.setattr(cli, "_run_trial", failed_trial)
-        result = run("inverse", "--target", "(((....)))", "--trials", "5")
+        result = invoke("inverse", "--target", "(((....)))", "--trials", "5")
         assert result.exit_code == 1
         assert result.output.splitlines()[1] == "Failed! budget spent"
         assert "p90_time=5.000s" in result.output.splitlines()[-1]
@@ -346,12 +343,12 @@ class TestInverse:
         [["-N", "0"], ["--trials", "-1"], ["--jobs", "0"]],
     )
     def test_out_of_range_option_exits_2(self, extra):
-        result = run("inverse", "--target", "(((....)))", *extra)
+        result = invoke("inverse", "--target", "(((....)))", *extra)
         assert result.exit_code == 2
         assert "Traceback" not in result.output
 
     def test_target_with_illegal_character_exits_2(self):
-        result = run("inverse", "--target", "(((..x.)))")
+        result = invoke("inverse", "--target", "(((..x.)))")
         assert result.exit_code == 2
         assert result.output.splitlines() == [
             "incorrect structure", "illegal character 'x' at position 6"]
@@ -366,13 +363,13 @@ class TestInverse:
             }
 
         monkeypatch.setattr(cli, "_run_trial", misfolding_trial)
-        result = run("inverse", "--target", "(((....)))")
+        result = invoke("inverse", "--target", "(((....)))")
         assert result.exit_code == 70
-        assert result.stdout == ""
+        assert result.output == result.stderr  # nothing on stdout
         assert "reported success failed re-verification" in result.stderr
 
     def test_policy_option_error_is_not_a_target_error(self):
-        result = run("inverse", "--target", "(((....)))", "--k", "1")
+        result = invoke("inverse", "--target", "(((....)))", "--k", "1")
         assert result.exit_code == 2
         assert "k must be at least 2" in result.output
         assert "incorrect structure" not in result.output
@@ -390,10 +387,9 @@ class TestInverse:
         # a fold of the adjust phase would visit more than MAX_STRUCTURES
         # structures; the trial fails instead of raising SizeGuard
         target = ":(((([[[))))((({{{{{::)))]]]::}}}}}:::::"
-        result = run("inverse", "--target", target, "--seed", "1",
-                     "--format", "jsonl")
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # nothing escaped
+        result = invoke("inverse", "--target", target, "--seed", "1",
+                        "--format", "jsonl")
+        assert result.exit_code == 1  # and nothing escaped: invoke raises it
         assert "Traceback" not in result.output
         record = json.loads(result.output.splitlines()[0])
         assert record["success"] is False and record["target"] == target
@@ -401,8 +397,8 @@ class TestInverse:
 
     def test_target_past_40_designs(self):
         target = "(((" + ":" * 35 + ")))"
-        result = run("inverse", "--target", target, "--seed", "9",
-                     "--format", "jsonl")
+        result = invoke("inverse", "--target", target, "--seed", "9",
+                        "--format", "jsonl")
         assert result.exit_code == 0
         record = json.loads(result.output.splitlines()[0])
         assert record["success"] is True and len(record["sequence"]) == 41
@@ -410,7 +406,7 @@ class TestInverse:
     def test_candidate_cap_fails_the_trial(self, monkeypatch):
         # a cost refusal is a failed trial, not an invalid input
         monkeypatch.setattr(oracle, "MAX_CANDIDATES", 0)
-        result = run("inverse", "--target", "(((....)))", "--format", "jsonl")
+        result = invoke("inverse", "--target", "(((....)))", "--format", "jsonl")
         assert result.exit_code == 1
         assert "Traceback" not in result.output
         record = json.loads(result.output.splitlines()[0])
@@ -431,7 +427,7 @@ def test_model_load_error_exits_2(tmp_path, command, content):
     path = tmp_path / "model.cfg"
     if content is not None:
         path.write_text(content)
-    result = run(*command, "--model", str(path))
+    result = invoke(*command, "--model", str(path))
     assert result.exit_code == 2
     assert "cannot load energy model" in result.output
     assert "Traceback" not in result.output
@@ -454,11 +450,59 @@ def test_unreadable_target_file_exits_2(tmp_path, command, make):
         path = tmp_path / "target"
         make(path)
         argument = str(path)
-    result = run(*command(argument))
+    result = invoke(*command(argument))
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert len(result.output.strip().splitlines()) == 1
     assert argument in result.output
+
+
+INVERSE = ["inverse", "--target", "(((....)))", "--format", "jsonl"]
+FOLD = ["fold", "GGGAAAACCC"]
+
+
+@pytest.mark.parametrize("variable, value, command, named", [
+    ("PKINV_INVERSE_TARGET", "(((....)))", ["inverse", "--format", "jsonl"], False),
+    ("PKINV_INVERSE_TRIALS", "2", INVERSE, False),
+    ("PKINV_INVERSE_SEED", "9", INVERSE, False),
+    ("PKINV_INVERSE_N_BEST", "0", INVERSE, True),
+    ("PKINV_INVERSE_K", "1", INVERSE, False),
+    ("PKINV_INVERSE_SIGMA", "4", INVERSE, False),
+    ("PKINV_INVERSE_MIN_ARC_LENGTH", "6", INVERSE, False),
+    ("PKINV_INVERSE_MODEL", "missing.cfg", INVERSE, True),
+    ("PKINV_INVERSE_JOBS", "0", INVERSE, True),
+    ("PKINV_FOLD_N_BEST", "2", FOLD, False),
+    ("PKINV_FOLD_K", "1", FOLD, False),
+    ("PKINV_FOLD_SIGMA", "4", FOLD, False),
+    ("PKINV_FOLD_MIN_ARC_LENGTH", "6", FOLD, False),
+    ("PKINV_FOLD_MODEL", "missing.cfg", FOLD, True),
+])
+def test_environment_variable_acts_as_its_option(
+    tmp_path, monkeypatch, variable, value, command, named
+):
+    # PKINV_<COMMAND>_<LONG OPTION> gives the option's value; a bad one is
+    # an error that names the option, as on the command line
+    monkeypatch.chdir(tmp_path)
+    option = "--" + variable.split("_", 2)[2].lower().replace("_", "-")
+    explicit = invoke(*command, option, value)
+    assert explicit != invoke(*command)
+    monkeypatch.setenv(variable, value)
+    assert invoke(*command) == explicit
+    if named:
+        assert explicit.exit_code == 2
+        assert option in explicit.stderr
+
+
+@pytest.mark.parametrize("args, reason", [
+    ([], ""),
+    (["bogus"], "bogus"),
+    (["inverse", "--target", "(((....)))", "--tri", "2"], "--tri"),
+], ids=["no-command", "unknown-command", "abbreviated-option"])
+def test_usage_error_exits_2(args, reason):
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert result.output == result.stderr != ""  # nothing on stdout
+    assert reason in result.stderr
 
 
 class TestStartup:
@@ -466,7 +510,7 @@ class TestStartup:
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
         version = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
         assert version == pkinv.__version__ == "0.1.0"
-        result = run("--version")
+        result = invoke("--version")
         assert result.exit_code == 0
         assert result.output.split()[-1] == pkinv.__version__
 
@@ -480,12 +524,14 @@ class TestStartup:
          {"loops", "oracle", "search", "sequences", "structure"}),
     ], ids=["help", "version", "distance", "decompose", "fold", "inverse"])
     def test_commands_load_only_the_engine_they_call(self, args, engine):
-        # main itself, not CliRunner: click.testing loads dataclasses (pdb)
         code = ("import sys\n"
                 "from pkinv.cli import main\n"
-                f"assert main({args!r}, standalone_mode=False) in (None, 0)\n"
-                "print(*sorted(m for m in sys.modules"
-                " if m.startswith('pkinv') or m == 'dataclasses'))")
+                "try:\n"
+                f"    main({args!r})\n"
+                "except SystemExit as exit:\n"
+                "    assert exit.code in (None, 0), exit.code\n"
+                "print(*sorted(m for m in sys.modules if m.startswith('pkinv')"
+                " or m == 'dataclasses'))")
         loaded = set(run_python(code).splitlines()[-1].split())
         assert loaded == {"pkinv", "pkinv.cli"} | {f"pkinv.{m}" for m in engine}
 
@@ -529,36 +575,34 @@ def test_closed_pipe_exits_1_without_a_word():
 
 class TestFoldCommand:
     def test_open_chain(self):
-        result = run("fold", "AAAAAAAAAA")
+        result = invoke("fold", "AAAAAAAAAA")
         assert result.exit_code == 0
         assert result.output.strip() == "::::::::::\t0"
 
     def test_n_best(self):
-        result = run("fold", "GGGAAAACCC", "-N", "2")
+        result = invoke("fold", "GGGAAAACCC", "-N", "2")
         lines = result.output.strip().splitlines()
         assert lines[0] == "(((::::)))\t-6"
         assert lines[1] == "::::::::::\t0"
 
     def test_empty_sequence_exits_2(self):
-        result = run("fold", "")
+        result = invoke("fold", "")
         assert result.exit_code == 2
-        assert result.stdout == ""
+        assert result.output == result.stderr  # nothing on stdout
         assert result.stderr.strip() == "empty sequence"
 
     def test_bad_sequence_exits_2(self):
-        result = run("fold", "GGXC")
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)  # nothing escaped
+        result = invoke("fold", "GGXC")
+        assert result.exit_code == 2  # and nothing escaped: invoke raises it
         assert "Traceback" not in result.output
         assert "'X' at position 3" in result.output
 
     def test_structure_past_three_families_exits_2(self):
         # the second of three co-optimal structures is four mutually
         # crossing stacks, which three bracket families cannot write
-        result = run("fold", "GGGCCCGGGCCCCCCGGGCCCGGG", "--k", "5", "-N", "3")
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert result.stdout == ""
+        result = invoke("fold", "GGGCCCGGGCCCCCCGGGCCCGGG", "--k", "5", "-N", "3")
+        assert result.exit_code == 2  # and nothing escaped: invoke raises it
+        assert result.output == result.stderr  # nothing on stdout
         assert "bracket families" in result.stderr
 
     def test_output_is_pinned(self):
@@ -572,7 +616,7 @@ class TestFoldCommand:
         )
         output = ""
         for seq in sequences:
-            result = run("fold", seq, "-N", "50")
+            result = invoke("fold", seq, "-N", "50")
             assert result.exit_code == 0
             output += result.output
         assert hashlib.sha256(output.encode()).hexdigest() == (
@@ -581,7 +625,7 @@ class TestFoldCommand:
 
     def test_past_structure_cap_exits_2(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_STRUCTURES", 1000)
-        result = run("fold", "GC" * 14)
+        result = invoke("fold", "GC" * 14)
         assert result.exit_code == 2
         assert result.output.count("\n") == 1
         assert "more than 1000 structures" in result.output
@@ -589,39 +633,39 @@ class TestFoldCommand:
     def test_model_file(self, tmp_path):
         path = tmp_path / "m.cfg"
         path.write_text("loop.hairpin=0\n")
-        result = run("fold", "GGGAAAACCC", "--model", str(path))
+        result = invoke("fold", "GGGAAAACCC", "--model", str(path))
         assert result.output.strip() == "(((::::)))\t-9"
 
 
 class TestDistanceCommand:
     def test_distance(self):
-        result = run("distance", "(((....)))", "(((....)))")
+        result = invoke("distance", "(((....)))", "(((....)))")
         assert result.output.strip() == "0"
 
     def test_two_positions(self):
         a = "(((....)))"
         b = "((::....))"  # inner arc removed
-        result = run("distance", a, b)
+        result = invoke("distance", a, b)
         assert result.output.strip() == "2"
 
     def test_parse_error_exits_2(self):
-        result = run("distance", "(((", ":::")
+        result = invoke("distance", "(((", ":::")
         assert result.exit_code == 2
 
 
 class TestDecomposeCommand:
     def test_two_loop_ladder_printed(self):
         # hairpin nested inside a two-arc crossing: (2,8), (3,5), (7,9)
-        result = run("decompose", ":((:):[)]:")
+        result = invoke("decompose", ":((:):[)]:")
         assert result.exit_code == 0
         assert "intervals\t[3,5] [3,6] [2,9] [1,10]" in result.output
 
     def test_interval_line(self):
-        result = run("decompose", "(((....)))")
+        result = invoke("decompose", "(((....)))")
         lines = result.output.strip().splitlines()
         assert lines[0].startswith("hairpin\ta=[1,10]\tb=[1,10]")
         assert lines[-1] == "intervals\t[1,10]"
 
     def test_invalid_exits_2(self):
-        result = run("decompose", "(((")
+        result = invoke("decompose", "(((")
         assert result.exit_code == 2
