@@ -15,9 +15,9 @@ import pytest
 
 import pkinv
 from pkinv import cli, oracle
-from pkinv.cli import main
 
-from .helpers import PSEUDOKNOT_18, cli_process, invoke, run_python
+from .helpers import (PSEUDOKNOT_18, cli_process, invoke, python_process,
+                      run_python)
 
 
 class TestInverse:
@@ -261,6 +261,28 @@ class TestInverse:
         assert with_env.output == explicit.output
 
 
+    def test_format_variable_sets_the_format(self, monkeypatch):
+        args = ["inverse", "--target", "(((....)))", "--trials", "2"]
+        jsonl = invoke(*args, "--format", "jsonl")
+        tsv = invoke(*args, "--format", "tsv")
+        monkeypatch.setenv("PKINV_INVERSE_FORMAT", "jsonl")
+        assert invoke(*args) == jsonl
+        assert invoke(*args, "--format", "tsv") == tsv  # the command line wins
+        monkeypatch.setenv("PKINV_INVERSE_FORMAT", "xml")
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert "--format" in result.stderr and "xml" in result.stderr
+
+    def test_trace_variable_names_the_trace_file(self, tmp_path, monkeypatch):
+        args = ["inverse", "--target", "(((....)))", "--trials", "2"]
+        explicit = tmp_path / "explicit.jsonl"
+        assert invoke(*args, "--trace", str(explicit)).exit_code == 0
+        path = tmp_path / "trace.jsonl"
+        monkeypatch.setenv("PKINV_INVERSE_TRACE", str(path))
+        assert invoke(*args).exit_code == 0
+        assert path.read_bytes() == explicit.read_bytes() != b""
+
+
     def test_campaign_output_is_pinned(self):
         # the jsonl campaign output is a cross-commit determinism contract
         result = invoke(
@@ -311,7 +333,7 @@ class TestInverse:
         result = invoke("inverse", "--target", "(((....)))", "--trace", str(path))
         assert result.exit_code == 2
         assert result.output == result.stderr  # nothing on stdout
-        assert "Invalid value for '--trace'" in result.stderr
+        assert "argument --trace: cannot open" in result.stderr
         assert "Traceback" not in result.output
 
     def test_zero_trials_report_no_seed_range(self):
@@ -505,6 +527,28 @@ def test_usage_error_exits_2(args, reason):
     assert reason in result.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["--version"],
+    ["fold", "GGGAAAACCC"],
+    ["distance", "(((....)))", "((......))"],
+    ["decompose", PSEUDOKNOT_18],
+    ["inverse", "--target", "(((::[[[::)))::]]]::::::", "--trials", "2",
+     "--jobs", "2", "--format", "jsonl"],
+], ids=["help", "version", "fold", "distance", "decompose", "inverse"])
+def test_commands_run_without_click(args):
+    code = ("import sys\n"
+            "sys.modules['click'] = None\n"  # import click raises ImportError
+            "from pkinv.cli import main\n"
+            "try:\n"
+            f"    main({args!r})\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code in (None, 0), exit.code\n")
+    done = cli_process(*args)
+    assert done.returncode == 0
+    assert python_process(code).stdout == done.stdout.decode()
+
+
 class TestStartup:
     def test_version_is_the_project_version(self):
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
@@ -524,6 +568,7 @@ class TestStartup:
          {"loops", "oracle", "search", "sequences", "structure"}),
     ], ids=["help", "version", "distance", "decompose", "fold", "inverse"])
     def test_commands_load_only_the_engine_they_call(self, args, engine):
+        # nor the argument parser's former and heavier dependencies
         code = ("import sys\n"
                 "from pkinv.cli import main\n"
                 "try:\n"
@@ -531,7 +576,7 @@ class TestStartup:
                 "except SystemExit as exit:\n"
                 "    assert exit.code in (None, 0), exit.code\n"
                 "print(*sorted(m for m in sys.modules if m.startswith('pkinv')"
-                " or m == 'dataclasses'))")
+                " or m in {'click', 'dataclasses', 'inspect', 'uuid'}))")
         loaded = set(run_python(code).splitlines()[-1].split())
         assert loaded == {"pkinv", "pkinv.cli"} | {f"pkinv.{m}" for m in engine}
 
@@ -551,19 +596,22 @@ def test_output_that_cannot_be_written_exits_2(args):
         f"cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
-def test_output_error_goes_to_the_caller_without_standalone_mode(monkeypatch):
+def test_output_error_goes_to_the_caller_of_the_inner_entry_point(monkeypatch):
+    # main turns the error into exit code 2; run leaves fd 1 as it was
     class Full(io.StringIO):
         def write(self, text):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
+    fd1 = os.fstat(1)
     monkeypatch.setattr(sys, "stdout", Full())
     with pytest.raises(OSError) as caught:
-        main(["fold", "GGGAAAACCC"], standalone_mode=False)
+        cli.run(["fold", "GGGAAAACCC"])
     assert caught.value.errno == errno.ENOSPC
+    assert os.path.samestat(os.fstat(1), fd1)
 
 
 def test_closed_pipe_exits_1_without_a_word():
-    # click's own handling of EPIPE, as for `pkinv fold ... | head -0`
+    # as for `pkinv fold ... | head -0`
     read_fd, write_fd = os.pipe()
     os.close(read_fd)
     try:
