@@ -1,9 +1,9 @@
 """Inverse folding for crossing RNA structures.
 
 Library layout: structure (arc diagrams and validation), loops (the loop
-decomposition and interval ladder), sequences (compatible sequence
-space), oracle (reference exhaustive folder with a surrogate energy
-model), search (the inverse-folding search itself), cli (command line).
+census and the interval ladder), sequences (compatible sequence space),
+oracle (reference exhaustive folder with a surrogate energy model),
+search (the inverse-folding search itself), cli (command line).
 
 Importing the package loads none of them: each submodule, and each name
 exported here, is imported from its module on first access (PEP 562), so
@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 # every exported name, and every submodule, mapped to the module it lives in
 _HOMES = {
     **dict.fromkeys(
-        ("IntervalPlan", "Loop", "LoopComponent", "build_intervals",
-         "decompose_loops"),
+        ("IntervalPlan", "LoopComponent", "build_intervals"),
         "loops"),
     **dict.fromkeys(
         ("EnergyModel", "FoldResult", "ReferenceFoldOracle", "SizeGuard",

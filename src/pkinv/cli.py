@@ -336,13 +336,16 @@ def fold_cmd(args: argparse.Namespace) -> int:
     from .oracle import DEFAULT_MODEL, fold
     from .structure import ValidationPolicy, serialize_structure
 
+    try:
+        policy = ValidationPolicy(args.k, args.sigma, args.min_arc_length)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     if not args.sequence:
         print("empty sequence", file=sys.stderr)
         return EXIT_INVALID
     model = DEFAULT_MODEL if args.model is None else args.model
     try:
-        result = fold(args.sequence, args.n_best,
-                      ValidationPolicy(args.k, args.sigma, args.min_arc_length), model)
+        result = fold(args.sequence, args.n_best, policy, model)
         lines = [f"{serialize_structure(struct)}\t{energy:g}"
                  for struct, energy in zip(result.structures, result.energies)]
     except ValueError as exc:
@@ -458,7 +461,7 @@ def _parser() -> argparse.ArgumentParser:
             help="Write the search trace of each trial as JSON lines.")
 
     sub = command("fold", fold_cmd, "sequence")
-    _option(sub, "fold", "--n-best", "-N", type=int, default=1,
+    _option(sub, "fold", "--n-best", "-N", type=_at_least(1), default=1,
             help="(default: %(default)s)")
     policy_options(sub, "fold")
 

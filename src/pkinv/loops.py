@@ -1,15 +1,13 @@
-"""Loop decomposition of crossing arc diagrams and the interval ladder.
+"""The loop census of crossing arc diagrams and the interval ladder.
 
 Every diagram splits uniquely into hairpin, interior, multi, and
-pseudoknot loops.  Arcs that cross are grouped stack-wise into pseudoknot
-loops; every remaining arc closes exactly one standard loop, namely the
-one formed by the maximal arcs directly nested beneath it.  Unpaired
-positions inside a pseudoknot span that no standard loop claims belong to
-the pseudoknot loop.  The same stack-level grouping yields loop_census,
-the per-kind loop counts the energy model scores.
-
-From the same stack view this module builds the ordered loop components
-and the growing interval sequence that drives the local search: each
+pseudoknot loops.  This module reads that split off the maximal stacks
+and their crossing and nesting masks, without listing the loops:
+loop_census counts the loops of each kind, as the energy model scores
+them, and build_intervals orders them into the loop components and the
+growing interval sequence that drives the local search.  Crossing stacks
+are grouped into pseudoknot loops; every other stack closes its stacked
+pairs and the one standard loop beneath its innermost arc.  Each
 component contributes its own span, the span padded by adjacent unpaired
 runs, and the running union of everything seen so far.
 """
@@ -19,57 +17,13 @@ from __future__ import annotations
 from itertools import accumulate, chain, groupby
 from typing import NamedTuple, Sequence
 
-from .structure import Arc, Structure, _relations, _stack_arcs, stacks
+from .structure import Structure, _relations, stacks
 
 HAIRPIN = "hairpin"
 INTERIOR = "interior"
 MULTI = "multi"
 PSEUDOKNOT = "pseudoknot"
 HELIX = "helix"
-
-
-class ArcNotInStructure(ValueError):
-    """The given arc is not part of the structure."""
-
-
-class InvalidStructure(ValueError):
-    """The decomposition did not partition the structure (internal check)."""
-
-
-class Loop(NamedTuple):
-    """One loop of the decomposition.
-
-    arcs lists the constituent arcs: the closing arc plus the boundary
-    arcs of directly nested blocks for standard loops, or the full
-    crossing arc set for pseudoknots.  intervals are the maximal runs of
-    unpaired positions the loop claims.  Ownership for the arc partition
-    is the closing arc alone for standard loops and all arcs for
-    pseudoknot loops.
-    """
-
-    kind: str
-    arcs: tuple[Arc, ...]
-    intervals: tuple[tuple[int, int], ...]
-    closing_arc: Arc | None
-
-    @property
-    def owned_arcs(self) -> tuple[Arc, ...]:
-        if self.kind == PSEUDOKNOT:
-            return self.arcs
-        return (self.closing_arc,)
-
-    @property
-    def is_stacked_pair(self) -> bool:
-        """Interior loop with both gaps empty (two consecutive stack arcs)."""
-        if self.kind != INTERIOR:
-            return False
-        outer, inner = self.arcs
-        return inner.i == outer.i + 1 and inner.j == outer.j - 1
-
-    @property
-    def span(self) -> tuple[int, int]:
-        # arcs are sorted, and the claimed positions lie inside them
-        return self.arcs[0].i, max(a.j for a in self.arcs)
 
 
 class LoopComponent(NamedTuple):
@@ -201,81 +155,12 @@ def loop_census(s: Structure) -> tuple[int, int, int, int, int]:
     """Loop-kind counts of s, taken over its maximal stacks.
 
     The counts are (hairpin, gapped interior, stacked pair, multi,
-    pseudoknot), as EnergyModel.loop_energy weighs them, and equal the
-    loop kinds of decompose_loops.
+    pseudoknot), as EnergyModel.loop_energy weighs them.
     """
     triples = stacks(s)
     crossing, inside = _relations(s.n, triples)
     return _census((1 << len(triples)) - 1, [size for _, _, size in triples],
                    crossing, inside, any(crossing))
-
-
-def _unpaired_runs(positions: list[int]) -> tuple[tuple[int, int], ...]:
-    runs: list[tuple[int, int]] = []
-    for pos in positions:
-        if runs and pos == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], pos)
-        else:
-            runs.append((pos, pos))
-    return tuple(runs)
-
-
-def decompose_loops(s: Structure) -> tuple[Loop, ...]:
-    """Split a structure into its hairpin, interior, multi, and pseudoknot loops.
-
-    Every arc belongs to exactly one loop and every unpaired position
-    inside an arc is claimed by exactly one loop.  The result is sorted
-    by leftmost position and is independent of the arc input order.
-    """
-    sts = stacks(s)
-    crossing, inside = _relations(s.n, sts)
-    group_arcs = [
-        tuple(sorted(a for c in _members(group) for a in _stack_arcs(*sts[c])))
-        for group in _pseudoknot_groups((1 << len(sts)) - 1, crossing, inside)
-    ]
-    pk_arcs = {a for p_arcs in group_arcs for a in p_arcs}
-
-    partner = s.partner
-    arcs = s.arcs
-    loops: list[Loop] = []
-    claimed: set[int] = set()
-
-    for arc in arcs:
-        if arc in pk_arcs:
-            continue
-        # reach is the furthest end of the nested arcs scanned so far: a nested
-        # arc ending beyond it is a child, an unpaired position beyond it a gap
-        children: list[Arc] = []
-        gaps: list[int] = []
-        reach = arc.i
-        for w in range(arc.i + 1, arc.j):
-            p = partner[w]
-            if p == 0 and w > reach:
-                gaps.append(w)
-            elif w < p < arc.j and p > reach:
-                children.append(Arc(w, p))
-                reach = p
-        claimed.update(gaps)
-        kind = MULTI if len(children) > 1 else INTERIOR if children else HAIRPIN
-        loops.append(Loop(kind, (arc, *children), _unpaired_runs(gaps), arc))
-
-    # Pseudoknot loops claim the leftover unpaired positions inside their
-    # span; with nested pseudoknots the innermost span wins.
-    for p_arcs in sorted(
-        group_arcs, key=lambda g: (max(a.j for a in g) - g[0].i, g[0].i)
-    ):
-        lo, hi = p_arcs[0].i, max(a.j for a in p_arcs)
-        mine = [w for w in range(lo + 1, hi) if partner[w] == 0 and w not in claimed]
-        claimed.update(mine)
-        loops.append(Loop(PSEUDOKNOT, p_arcs, _unpaired_runs(mine), None))
-
-    owned = sorted(a for lp in loops for a in lp.owned_arcs)
-    if owned != list(arcs):
-        raise InvalidStructure(
-            f"loop decomposition does not partition the {len(arcs)} arcs"
-        )
-    loops.sort(key=lambda lp: lp.span)
-    return tuple(loops)
 
 
 def _padded(span: tuple[int, int], s: Structure) -> tuple[int, int]:

@@ -14,7 +14,7 @@ import math
 from random import Random
 from typing import ClassVar, Iterable, NamedTuple
 
-from .loops import ArcNotInStructure, IntervalPlan, build_intervals
+from .loops import IntervalPlan, build_intervals
 from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard
 from .sequences import (_PARTNERS, _pair_masks, _unpaired_first, can_pair,
                         other_values, put, random_compatible_sequence, site_chars,
@@ -136,6 +136,10 @@ class _CountingOracle:
     def fold(self, seq: str, n_best: int = 1) -> FoldResult:
         self.calls += 1
         return self._oracle.fold(seq, n_best)
+
+
+class ArcNotInStructure(ValueError):
+    """The given arc is not part of the structure."""
 
 
 def perturb_arc(s: Structure, arc: Arc) -> list[tuple[Arc, ...]]:

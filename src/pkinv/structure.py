@@ -49,7 +49,7 @@ class LengthMismatch(ValueError):
 
 
 class OutOfRange(ValueError):
-    """A position lies outside [1, n]."""
+    """A window of positions lies outside [1, n]."""
 
 
 class Arc(NamedTuple):
@@ -122,12 +122,6 @@ class Structure(_StructureFields):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n!r}, arcs={self.arcs!r})"
-
-    def partner_of(self, w: int) -> int:
-        """Paired position of w, or 0 if w is unpaired."""
-        if not 1 <= w <= self.n:
-            raise OutOfRange(f"position {w} outside [1, {self.n}]")
-        return self.partner[w]
 
     def __str__(self) -> str:
         try:

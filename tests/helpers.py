@@ -2,7 +2,11 @@
 
 The naive fold path here enumerates all partial matchings directly and
 filters with validate_target, sharing nothing with the package's
-stack-placement enumerator, so the two can check each other.
+stack-placement enumerator, so the two can check each other.  In the
+same way the loop decomposition here finds stacks and groups
+pseudoknots from the arcs alone, importing nothing from pkinv.loops and
+no private name of pkinv, so it checks the loop census and the interval
+ladder that pkinv.loops reads off stack masks.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 from random import Random
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import pkinv
 from pkinv import (
@@ -252,29 +256,185 @@ def nests_inside(a: Arc, b: Arc) -> bool:
     return b.i < a.i and a.j < b.j
 
 
+def arc_stacks(arcs: Iterable[Arc]) -> dict[Arc, tuple[Arc, ...]]:
+    """The maximal stacks of an arc set, found from the arcs alone.
+
+    A stack's outermost arc has no arc right around it; each one maps to
+    its stack's arcs, outermost first, and the stacks come in order of
+    their outer arcs.  All arcs of one stack cross, nest in, or enclose
+    any other arc alike, so outer arcs decide stack-level relations.
+    """
+    present = set(arcs)
+    runs = {}
+    for outer in sorted(present):
+        if (outer.i - 1, outer.j + 1) in present:
+            continue
+        run = [outer]
+        while (run[-1].i + 1, run[-1].j - 1) in present:
+            run.append(Arc(run[-1].i + 1, run[-1].j - 1))
+        runs[outer] = tuple(run)
+    return runs
+
+
+def pseudoknot_groups(arcs: Iterable[Arc]) -> list[tuple[Arc, ...]]:
+    """The pseudoknot loops of an arc set, as sorted arc tuples, grouped
+    at arc level over the stacks of arc_stacks.
+
+    A stack joins a pseudoknot when it is a nesting-minimal element of
+    the crossing set of some stack: it crosses that stack, and no other
+    stack crossing that stack nests inside it.  A stack whose crossing
+    partners all have such a nested witness closes standard loops
+    instead.  The kept stacks split into connected components of the
+    crossing graph, one pseudoknot loop each, listed by leftmost arc.
+    """
+    runs = arc_stacks(arcs)
+    kept: set[Arc] = set()
+    for stack in runs:
+        crossed = [other for other in runs if arcs_cross(stack, other)]
+        kept.update(x for x in crossed
+                    if not any(nests_inside(y, x) for y in crossed))
+    groups = []
+    while kept:
+        first = min(kept)
+        group, todo = {first}, [first]
+        while todo:
+            stack = todo.pop()
+            new = {x for x in kept if arcs_cross(stack, x)} - group
+            group |= new
+            todo += new
+        kept -= group
+        groups.append(tuple(sorted(a for stack in group for a in runs[stack])))
+    return groups
+
+
 def crossing_graph_is_bipartite(s: Structure) -> bool:
     """Whether two colours can tell crossing stacks of s apart, that is,
-    whether two bracket families can write s.  Stacks are found from the
-    arcs alone: a stack's outermost arc has no arc right around it."""
-    arcs = set(map(tuple, s.arcs))
-    outer = [(i, j) for i, j in sorted(arcs) if (i - 1, j + 1) not in arcs]
-    colour: dict[tuple[int, int], int] = {}
+    whether two bracket families can write s.  Stacks come from the
+    arcs alone (arc_stacks)."""
+    outer = list(arc_stacks(s.arcs))
+    colour: dict[Arc, int] = {}
     for first in outer:
         if first in colour:
             continue
         colour[first] = 0
         todo = [first]
         while todo:
-            a, b = todo.pop()
-            for c, d in outer:
-                if not (a < c < b < d or c < a < d < b):
+            a = todo.pop()
+            for b in outer:
+                if not arcs_cross(a, b):
                     continue
-                if (c, d) not in colour:
-                    colour[c, d] = 1 - colour[a, b]
-                    todo.append((c, d))
-                elif colour[c, d] == colour[a, b]:
+                if b not in colour:
+                    colour[b] = 1 - colour[a]
+                    todo.append(b)
+                elif colour[b] == colour[a]:
                     return False
     return True
+
+
+class InvalidStructure(ValueError):
+    """The decomposition did not partition the structure (internal check)."""
+
+
+class Loop(NamedTuple):
+    """One loop of the decomposition.
+
+    arcs lists the constituent arcs: the closing arc plus the boundary
+    arcs of directly nested blocks for standard loops, or the full
+    crossing arc set for pseudoknots.  intervals are the maximal runs of
+    unpaired positions the loop claims.  Ownership for the arc partition
+    is the closing arc alone for standard loops and all arcs for
+    pseudoknot loops.
+    """
+
+    kind: str
+    arcs: tuple[Arc, ...]
+    intervals: tuple[tuple[int, int], ...]
+    closing_arc: Arc | None
+
+    @property
+    def owned_arcs(self) -> tuple[Arc, ...]:
+        if self.kind == "pseudoknot":
+            return self.arcs
+        return (self.closing_arc,)
+
+    @property
+    def is_stacked_pair(self) -> bool:
+        """Interior loop with both gaps empty (two consecutive stack arcs)."""
+        if self.kind != "interior":
+            return False
+        outer, inner = self.arcs
+        return inner.i == outer.i + 1 and inner.j == outer.j - 1
+
+    @property
+    def span(self) -> tuple[int, int]:
+        # arcs are sorted, and the claimed positions lie inside them
+        return self.arcs[0].i, max(a.j for a in self.arcs)
+
+
+def _unpaired_runs(positions: list[int]) -> tuple[tuple[int, int], ...]:
+    runs: list[tuple[int, int]] = []
+    for pos in positions:
+        if runs and pos == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], pos)
+        else:
+            runs.append((pos, pos))
+    return tuple(runs)
+
+
+def decompose_loops(s: Structure) -> tuple[Loop, ...]:
+    """Split a structure into its hairpin, interior, multi, and pseudoknot loops.
+
+    The reference that loop_census and build_intervals are tested
+    against: pseudoknots come from pseudoknot_groups, and every other arc
+    closes the standard loop read in one scan of the partner vector
+    beneath it.  Every arc belongs to exactly one loop and every unpaired
+    position inside an arc is claimed by exactly one loop.  The result is
+    sorted by leftmost position and is independent of the arc input order.
+    """
+    group_arcs = pseudoknot_groups(s.arcs)
+    pk_arcs = {a for p_arcs in group_arcs for a in p_arcs}
+
+    partner = s.partner
+    arcs = s.arcs
+    loops: list[Loop] = []
+    claimed: set[int] = set()
+
+    for arc in arcs:
+        if arc in pk_arcs:
+            continue
+        # reach is the furthest end of the nested arcs scanned so far: a nested
+        # arc ending beyond it is a child, an unpaired position beyond it a gap
+        children: list[Arc] = []
+        gaps: list[int] = []
+        reach = arc.i
+        for w in range(arc.i + 1, arc.j):
+            p = partner[w]
+            if p == 0 and w > reach:
+                gaps.append(w)
+            elif w < p < arc.j and p > reach:
+                children.append(Arc(w, p))
+                reach = p
+        claimed.update(gaps)
+        kind = "multi" if len(children) > 1 else "interior" if children else "hairpin"
+        loops.append(Loop(kind, (arc, *children), _unpaired_runs(gaps), arc))
+
+    # Pseudoknot loops claim the leftover unpaired positions inside their
+    # span; with nested pseudoknots the innermost span wins.
+    for p_arcs in sorted(
+        group_arcs, key=lambda g: (max(a.j for a in g) - g[0].i, g[0].i)
+    ):
+        lo, hi = p_arcs[0].i, max(a.j for a in p_arcs)
+        mine = [w for w in range(lo + 1, hi) if partner[w] == 0 and w not in claimed]
+        claimed.update(mine)
+        loops.append(Loop("pseudoknot", p_arcs, _unpaired_runs(mine), None))
+
+    owned = sorted(a for lp in loops for a in lp.owned_arcs)
+    if owned != list(arcs):
+        raise InvalidStructure(
+            f"loop decomposition does not partition the {len(arcs)} arcs"
+        )
+    loops.sort(key=lambda lp: lp.span)
+    return tuple(loops)
 
 
 def naive_min_energy(

@@ -15,7 +15,6 @@ from pkinv import (
     compatible_distance,
     compatible_neighbors,
     crossing_number,
-    decompose_loops,
     fold,
     inverse_fold,
     parse_structure,
@@ -31,6 +30,7 @@ from .helpers import (
     ORDERED_COMPONENTS_65,
     PSEUDOKNOT_18,
     TWO_LOOP_10,
+    decompose_loops,
     invoke,
     naive_min_energy,
     random_sequence,

@@ -367,7 +367,8 @@ class TestInverse:
     def test_out_of_range_option_exits_2(self, extra):
         result = invoke("inverse", "--target", "(((....)))", *extra)
         assert result.exit_code == 2
-        assert "Traceback" not in result.output
+        assert result.output == result.stderr  # nothing on stdout
+        assert result.stderr.startswith("usage: pkinv inverse")
 
     def test_target_with_illegal_character_exits_2(self):
         result = invoke("inverse", "--target", "(((..x.)))")
@@ -638,6 +639,19 @@ class TestFoldCommand:
         assert result.exit_code == 2
         assert result.output == result.stderr  # nothing on stdout
         assert result.stderr.strip() == "empty sequence"
+
+    @pytest.mark.parametrize(
+        "extra,variables",
+        [(["-N", "0"], {}), (["--k", "1"], {}), ([], {"PKINV_FOLD_N_BEST": "0"})],
+        ids=["n-best", "k", "n-best-variable"],
+    )
+    def test_out_of_range_option_exits_2(self, monkeypatch, extra, variables):
+        for name, value in variables.items():
+            monkeypatch.setenv(name, value)
+        result = invoke("fold", "GGGGAAAACCCC", *extra)
+        assert result.exit_code == 2
+        assert result.output == result.stderr  # nothing on stdout
+        assert result.stderr.startswith("usage: pkinv fold")
 
     def test_bad_sequence_exits_2(self):
         result = invoke("fold", "GGXC")

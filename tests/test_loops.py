@@ -1,4 +1,5 @@
-"""Loop decomposition, the nesting order, and the interval ladder."""
+"""The loop census and the interval ladder, against the arc-level
+reference decomposition in tests/helpers.py, and the reference itself."""
 
 import hashlib
 import json
@@ -11,7 +12,6 @@ from pkinv import (
     Arc,
     Structure,
     build_intervals,
-    decompose_loops,
     enumerate_structures,
     parse_structure,
     stacks,
@@ -23,6 +23,7 @@ from .helpers import (
     PSEUDOKNOT_18,
     TWO_LOOP_10,
     arcs_cross,
+    decompose_loops,
     nests_inside,
     random_matching,
     random_valid_structure,
@@ -30,6 +31,18 @@ from .helpers import (
 
 HAIRPIN = parse_structure("(((....)))")
 PK18 = parse_structure(PSEUDOKNOT_18)
+# Stacks A=(1,20).., G=(5,15).., B=(10,30)..: A and G both cross B, and G
+# nests strictly inside A, so every stack crossed by A has a nested
+# witness; A therefore closes standard loops while G and B form the
+# pseudoknot.
+ENCLOSED_PK_30 = Structure.from_pairs(
+    30,
+    [
+        (1, 20), (2, 19), (3, 18),
+        (5, 15), (6, 14), (7, 13),
+        (10, 30), (11, 29), (12, 28),
+    ],
+)
 
 
 def seeds():
@@ -108,19 +121,7 @@ class TestDecompose:
         assert decompose_loops(Structure(6, ())) == ()
 
     def test_enclosing_stack_is_excluded_from_the_pseudoknot(self):
-        # Stacks A=(1,20).., G=(5,15).., B=(10,30)..: A and G both cross B,
-        # and G nests strictly inside A, so every stack crossed by A has a
-        # nested witness; A therefore closes standard loops while G and B
-        # form the pseudoknot.
-        s = Structure.from_pairs(
-            30,
-            [
-                (1, 20), (2, 19), (3, 18),
-                (5, 15), (6, 14), (7, 13),
-                (10, 30), (11, 29), (12, 28),
-            ],
-        )
-        loops = decompose_loops(s)
+        loops = decompose_loops(ENCLOSED_PK_30)
         kinds = [lp.kind for lp in loops]
         assert kinds == ["interior", "interior", "interior", "pseudoknot"]
         deepest = loops[2]
@@ -230,6 +231,7 @@ class TestLoopCensus:
         assert loop_census(HAIRPIN) == (1, 0, 2, 0, 0)
         assert loop_census(PK18) == (0, 0, 0, 0, 1)
         assert loop_census(ORDERED_COMPONENTS_65) == (2, 0, 7, 1, 1)
+        assert loop_census(ENCLOSED_PK_30) == (0, 1, 2, 0, 1)
 
     def test_matches_decomposition_on_every_small_structure(self):
         for n in range(17):

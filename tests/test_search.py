@@ -23,9 +23,9 @@ from pkinv import (
     parse_structure,
     structure_distance,
 )
-from pkinv.loops import ArcNotInStructure
 from pkinv.oracle import FoldResult, ReferenceFoldOracle, SizeGuard
 from pkinv.search import (
+    ArcNotInStructure,
     CompetitorCensus,
     InvalidTarget,
     MutationOutcome,

@@ -349,21 +349,6 @@ class TestRestrict:
             restrict_structure(parse_structure(PSEUDOKNOT_18), lo, hi)
 
 
-class TestPartnerAccess:
-    def test_partner_of(self):
-        s = Structure.from_pairs(4, [(1, 4)])
-        assert s.partner_of(1) == 4
-        assert s.partner_of(2) == 0
-        assert s.partner_of(4) == 1
-
-    def test_out_of_range(self):
-        s = Structure(4, ())
-        with pytest.raises(OutOfRange):
-            s.partner_of(0)
-        with pytest.raises(OutOfRange):
-            s.partner_of(5)
-
-
 class TestRecord:
     @pytest.mark.parametrize("name", ["n", "arcs", "partner", "extra"])
     def test_attributes_cannot_be_assigned(self, name):
