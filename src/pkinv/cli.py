@@ -1,10 +1,12 @@
 """Command-line front end: design runs, batch campaigns, and utilities.
 
-Exit codes: 0 success, 1 search failure (the oracle refusing a fold for
-its cost included), 2 invalid input or an output that cannot be written
-(a closed pipe on stdout still exits 1, silently), 70 internal error (a
-trial raised an unexpected exception, a trial worker ended without its
-records, or a reported success failed re-verification).
+Exit codes: 0 success, 1 search failure (the oracle refusing one of
+inverse's folds for its cost included), 2 invalid input, a fold command
+whose fold the oracle refuses for its cost (its reason on stderr,
+nothing on stdout), or an output that cannot be written (a closed pipe
+on stdout still exits 1, silently), 70 internal error (a trial raised
+an unexpected exception, a trial worker ended without its records, or a
+reported success failed re-verification).
 Every option can also be set through an environment variable named
 PKINV_<COMMAND>_<LONG OPTION>, upper-cased with dashes as underscores,
 for example PKINV_INVERSE_SEED or PKINV_FOLD_N_BEST.  The command line

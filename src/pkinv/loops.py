@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, groupby
 from typing import NamedTuple, Sequence
 
-from .structure import Structure, _relations, stacks
+from .structure import Structure, _stack_masks, stacks
 
 HAIRPIN = "hairpin"
 INTERIOR = "interior"
@@ -123,7 +123,7 @@ def _census(
     """loop_census of the stacks in the chosen mask, from their relation masks.
 
     Bits index stacks in ascending outer i; sizes[c] is the size of stack
-    c and crossing/inside are as structure._relations builds them.
+    c and crossing/inside are as structure._stack_masks builds them.
     knotted is false only when no two chosen stacks cross, and then no
     pseudoknot forms, so the grouping is skipped.  A stack outside every
     pseudoknot closes size - 1 stacked pairs plus one loop of the kind
@@ -158,7 +158,7 @@ def loop_census(s: Structure) -> tuple[int, int, int, int, int]:
     pseudoknot), as EnergyModel.loop_energy weighs them.
     """
     triples = stacks(s)
-    crossing, inside = _relations(s.n, triples)
+    crossing, inside, _, _ = _stack_masks(s.n, triples)
     return _census((1 << len(triples)) - 1, [size for _, _, size in triples],
                    crossing, inside, any(crossing))
 
@@ -188,7 +188,7 @@ def build_intervals(target: Structure) -> IntervalPlan:
     the empty chain (n = 0) has no interval.
     """
     sts = stacks(target)
-    crossing, inside = _relations(target.n, sts)
+    crossing, inside, _, _ = _stack_masks(target.n, sts)
     everything = (1 << len(sts)) - 1
     groups = _pseudoknot_groups(everything, crossing, inside)
     found = [

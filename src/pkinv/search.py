@@ -103,18 +103,6 @@ class TraceRecord(NamedTuple):
     interval: tuple[int, int] | None = None
 
 
-class CompetitorCensus(NamedTuple):
-    """What the competitors of a round say about each position 0..n.
-
-    flagged[w]: some competitor pairs w differently from the target.
-    rivals[w]: the partners competitors give w; it may hold the target's
-    own partner, which mutation ignores.
-    """
-
-    flagged: list[bool]
-    rivals: list[set[int]]
-
-
 class MutationOutcome(NamedTuple):
     sequence: str
     mutated_positions: tuple[int, ...]
@@ -197,29 +185,23 @@ def build_competitors(
     return tuple(survivors[key] for key in sorted(survivors))
 
 
-def competitor_census(
-    seq: str, fold_result: FoldResult, target: Structure
-) -> CompetitorCensus:
-    """The census of build_competitors' survivors, without building them.
+def competitor_census(seq: str, fold_result: FoldResult) -> list[set[int]] | None:
+    """The partners build_competitors' survivors give each position 0..n,
+    without building them; None when no fold structure holds an arc.
 
-    With no fold structure holding an arc nothing is flagged; otherwise w
-    is flagged iff the target or some competitor pairs w: deleting any arc
-    of a fold structure S unpairs its ends, and S's own partner column
-    leaves unpaired every position S does not pair.  S's whole partner
-    vector counts, as S is its own unshifted perturbation.  A perturbation
-    at arc (i0, j0) differs from S only at its touched ends: a shift to
-    (i, j) pairs i with j when it stays in range with i < j, lands on ends
-    free in S minus the arc, and can pair.  Those shifts depend only on
-    the arc and on whether S pairs i0 +- 1 and j0 +- 1, so each such
-    neighbourhood is examined once per call.  The target need not be
-    dropped: its entries are the target partners, which mutation ignores.
+    A fold structure S's whole partner vector counts, as S is its own
+    unshifted perturbation.  A perturbation at arc (i0, j0) differs from
+    S only at its touched ends: a shift to (i, j) pairs i with j when it
+    stays in range with i < j, lands on ends free in S minus the arc,
+    and can pair.  Those shifts depend only on the arc and on whether S
+    pairs i0 +- 1 and j0 +- 1, so each such neighbourhood is examined
+    once per call.  The target need not be dropped: its entries are the
+    target partners, which mutation ignores.
     """
     structures = [s for s in fold_result.structures if s.arcs]
     if not structures:
-        return CompetitorCensus([False] * (target.n + 1),
-                                [set() for _ in range(target.n + 1)])
+        return None
     pairs = _pair_masks(seq)  # bit j of pairs[i]: i and j can pair
-    # rivals[w]: the partners competitors give w
     rivals = [set(column) - {0} for column in zip(*(s.partner for s in structures))]
     examined = set()
     for s in structures:
@@ -242,29 +224,31 @@ def competitor_census(
                     if ends >> j & 1 and i < j:
                         rivals[i].add(j)
                         rivals[j].add(i)
-    flagged = [bool(t or ps) for ps, t in zip(rivals, target.partner)]
-    return CompetitorCensus(flagged, rivals)
+    return rivals
 
 
 def mutate_against_competitors(
-    seq: str, target: Structure, census: CompetitorCensus, rng: Random
+    seq: str, target: Structure, rivals: list[set[int]] | None, rng: Random
 ) -> MutationOutcome:
-    """Redraw every site of the target where some competitor pairs an end
-    differently.
+    """Redraw every arc site of the target and every unpaired site whose
+    rival set is non-empty; rivals None (no competitors) redraws nothing.
 
-    A site gets a new value whose start-side base bonds with no competitor
-    partner of its start; an arc's own partner does not count.
+    These are the sites with an end that some competitor pairs
+    differently from the target, since some competitor unpairs every
+    position.  A site gets a new value whose start-side base bonds with
+    no rival of its start; an arc's own partner does not count.
     Constraints always compare against the pre-mutation sequence.  When
-    no value satisfies them the site falls back to an unconstrained
-    redraw and is flagged.
+    no value satisfies them the site is redrawn unconstrained and is
+    recorded as a fallback.
     """
-    flagged, rivals = census
+    if rivals is None:
+        return MutationOutcome(seq, (), ())
     chars = site_chars(seq)
     new = chars.copy()
     mutated: list[int] = []
     fallbacks: list[int] = []
     for w, v in sites(target):
-        if not (flagged[w] or v and flagged[v]):
+        if not (v or rivals[w]):
             continue
         old = chars[w] + chars[v]
         rival_bases = {chars[u] for u in rivals[w] if u != v}
@@ -310,10 +294,10 @@ def adjust_sequence(
         if distance < best_distance:
             best_distance = distance
             best_seq = current
-        census = competitor_census(current, result, target)
+        rivals = competitor_census(current, result)
         attempts: list[tuple[int, int, MutationOutcome]] = []
         for attempt in range(config.mutation_retries):
-            outcome = mutate_against_competitors(current, target, census, rng)
+            outcome = mutate_against_competitors(current, target, rivals, rng)
             refold = oracle.fold(outcome.sequence, 1)
             attempt_distance = structure_distance(refold.mfe, target)
             attempts.append((attempt_distance, attempt, outcome))

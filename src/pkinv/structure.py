@@ -74,12 +74,15 @@ class Structure(_StructureFields):
 
     partner[w] is the position paired with w, or 0 when w is unpaired;
     index 0 of the vector is a placeholder so positions stay 1-based.
-    Construction rejects arcs outside [1, n] and doubly-paired positions.
+    Construction rejects a negative n, arcs outside [1, n] and
+    doubly-paired positions.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Structure":
+        if n < 0:
+            raise ValueError("length must be nonnegative")
         arcs = tuple(sorted(Arc(*a) for a in arcs))
         partner = [0] * (n + 1)
         for arc in arcs:
@@ -201,7 +204,7 @@ def serialize_structure(s: Structure) -> str:
     parse(serialize(s)) == s whenever three families can write s.
     """
     triples = stacks(s)
-    family = _families(_relations(s.n, triples)[0])
+    family = _families(_stack_masks(s.n, triples)[0])
     chars = [UNPAIRED_CHAR] * s.n
     for triple, fam in zip(triples, family):
         for i, j in _stack_arcs(*triple):
@@ -275,21 +278,24 @@ def stacks(s: Structure) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _relations(
+def _stack_masks(
     n: int, triples: Sequence[tuple[int, int, int]]
-) -> tuple[list[int], list[int]]:
-    """Crossing and inside masks of stacks (i, j, size) sorted by i, within [1, n].
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Crossing, inside, overlap and inner masks of stacks (i, j, size)
+    sorted by i, within [1, n].
 
     Bit b of crossing[a] is set when the outer arcs of stacks a and b
     cross, bit b of inside[a] when b's outer arc nests strictly inside
     a's.  All arcs of one stack relate alike to any other arc, so outer
     arcs decide stack-level crossing and nesting.  The stacks may share
-    positions, as the oracle's candidate stacks do.
+    positions, as the oracle's candidate stacks do.  Bit b of overlap[a]
+    is set when stacks a and b share a position, so a stack overlaps
+    itself.  Bit b of inner[a] is set when b's outer arc lies just inside
+    a's innermost arc, (a + 1, b - 1) for the arms [i, a] and [b, j], so
+    that the two stacks form one longer run; maximal stacks have none.
 
-    Both come from _stack_masks, with the overlap masks: bit b of
-    overlap[a] is set when stacks a and b share a position, so a stack
-    overlaps itself.  One pass over positions makes four prefix masks,
-    each holding the stacks for which, at position p:
+    One pass over positions makes four prefix masks, each holding the
+    stacks for which, at position p:
 
     - opens[p]: the left arm starts at or before p;
     - lefts[p]: the left arm ends before p;
@@ -305,20 +311,6 @@ def _relations(
       | (opens[j] & ~lefts[b]) | (rights[j] & ~closes[b - 1]), the other
       stacks' left and right arms against its left, then its right arm,
       since arms [x, y] and [x', y'] meet when x' <= y and y' >= x.
-    """
-    crossing, inside, _, _ = _stack_masks(n, triples)
-    return crossing, inside
-
-
-def _stack_masks(
-    n: int, triples: Sequence[tuple[int, int, int]]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Crossing, inside, overlap and inner masks of stacks (i, j, size)
-    sorted by i, from the four prefix masks that _relations describes.
-
-    Bit b of inner[a] is set when b's outer arc lies just inside a's
-    innermost arc, (a + 1, b - 1) for the arms [i, a] and [b, j], so
-    that the two stacks form one longer run; maximal stacks have none.
     """
     # stacks by outer i, by a + 1, by b and by outer j; the prefix ORs
     # of these are opens, lefts, rights and closes
@@ -376,7 +368,7 @@ def crossing_number(s: Structure) -> int:
     (inputs are desk-scale).
     """
     triples = stacks(s)
-    crossing, _ = _relations(s.n, triples)
+    crossing, _, _, _ = _stack_masks(s.n, triples)
     everything = (1 << len(triples)) - 1
     k = 0
     while _has_clique(everything, k + 1, crossing):

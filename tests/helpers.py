@@ -34,7 +34,7 @@ from pkinv import (
     validate_target,
 )
 from pkinv.oracle import DEFAULT_MODEL, EnergyModel
-from pkinv.search import CompetitorCensus, MutationOutcome
+from pkinv.search import MutationOutcome
 from pkinv.sequences import BASES, PAIRS, can_pair
 
 # A crossing two-stack structure used all over the suite.
@@ -532,21 +532,24 @@ def fold_digest(
 
 
 def reference_mutate_against_competitors(
-    seq: str, target: Structure, census: CompetitorCensus, rng: Random
+    seq: str, target: Structure, rivals: list[set[int]] | None, rng: Random
 ) -> MutationOutcome:
     """mutate_against_competitors as a can_pair test per rival position.
 
     The package filters by the set of rival bases instead; both must draw
     the same options in the same order, and so the same rng values.
+    Without rivals nothing is redrawn; otherwise every target arc is, and
+    every unpaired position with a rival.
     """
-    flagged, rivals = census
+    if rivals is None:
+        return MutationOutcome(seq, (), ())
     new = list(seq)
     mutated: list[int] = []
     fallbacks: list[int] = []
     for w in range(1, target.n + 1):
         v = target.partner[w]
         if v == 0:
-            if not flagged[w]:
+            if not rivals[w]:
                 continue
             old = seq[w - 1]
             options = [
@@ -562,8 +565,6 @@ def reference_mutate_against_competitors(
                 fallbacks.append(w)
             mutated.append(w)
         elif v > w:
-            if not (flagged[w] or flagged[v]):
-                continue
             old_pair = seq[w - 1] + seq[v - 1]
             options = [
                 p

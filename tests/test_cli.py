@@ -685,6 +685,14 @@ class TestFoldCommand:
             "93976f91cd0949ed5eace014d79cb657b35cd310fc2c4a7f5616a55e215d08ca"
         )
 
+    def test_past_candidate_stack_cap_exits_2(self):
+        result = invoke("fold", "GC" * 20)
+        assert result.exit_code == 2
+        assert result.output == result.stderr  # nothing on stdout
+        assert result.stderr.startswith(
+            "more than 1024 candidate stacks at length 40; ")
+        assert result.stderr.count("\n") == 1
+
     def test_past_structure_cap_exits_2(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_STRUCTURES", 1000)
         result = invoke("fold", "GC" * 14)

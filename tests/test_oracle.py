@@ -28,7 +28,7 @@ from pkinv import loops, oracle
 from pkinv.loops import loop_census
 from pkinv.oracle import DEFAULT_MODEL, EnergyModel, ReferenceFoldOracle, SizeGuard
 from pkinv.sequences import IncompatibleInput
-from pkinv.structure import _relations, stacks
+from pkinv.structure import _stack_masks, stacks
 
 from .helpers import (
     PSEUDOKNOT_18,
@@ -93,7 +93,7 @@ def floor_samples():
                 for _ in range(2000)]
     out = set()
     for s in samples:
-        crossing, _ = _relations(s.n, stacks(s))
+        crossing, _, _, _ = _stack_masks(s.n, stacks(s))
         out.add(((sum(not mask for mask in crossing), any(crossing)), loop_census(s)))
     return sorted(out)
 

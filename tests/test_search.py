@@ -26,7 +26,6 @@ from pkinv import (
 from pkinv.oracle import FoldResult, ReferenceFoldOracle, SizeGuard
 from pkinv.search import (
     ArcNotInStructure,
-    CompetitorCensus,
     InvalidTarget,
     MutationOutcome,
     SearchFailed,
@@ -85,25 +84,33 @@ def oracle_perturbations(s: Structure, arc: Arc) -> set:
     return seen
 
 
-def census_of(competitors, target: Structure) -> CompetitorCensus:
-    """The census of explicit competitor structures, position by position."""
-    n = target.n
-    flagged = [False] * (n + 1)
-    rivals = [set() for _ in range(n + 1)]
+def census_of(competitors, target: Structure) -> list[set[int]] | None:
+    """The rivals of explicit competitor structures, position by position;
+    None without competitors."""
+    if not competitors:
+        return None
+    rivals = [set() for _ in range(target.n + 1)]
     for comp in competitors:
-        for w in range(1, n + 1):
-            p = comp.partner[w]
-            if p != target.partner[w]:
-                flagged[w] = True
-            if p:
-                rivals[w].add(p)
-    return CompetitorCensus(flagged, rivals)
+        for w in range(1, target.n + 1):
+            if comp.partner[w]:
+                rivals[w].add(comp.partner[w])
+    return rivals
 
 
-def as_consumed(census: CompetitorCensus, target: Structure):
-    """What mutation reads: flags, and rivals without the target partner."""
-    rivals = [r - {target.partner[w]} for w, r in enumerate(census.rivals)]
-    return census.flagged, rivals
+def as_consumed(rivals: list[set[int]] | None, target: Structure):
+    """What mutation reads: the rivals without the target partner."""
+    if rivals is None:
+        return None
+    return [r - {target.partner[w]} for w, r in enumerate(rivals)]
+
+
+def made_up_rivals(rng: random.Random, n: int) -> list[set[int]] | None:
+    """None now and then, else dense random rivals for positions 0..n,
+    which often leave no option and often miss a site entirely."""
+    if rng.random() < 0.1:
+        return None
+    return [set(rng.sample(range(1, n + 1), rng.randint(0, 6)))
+            for _ in range(n + 1)]
 
 
 class TestPerturb:
@@ -203,30 +210,25 @@ class TestCensus:
             seq = random_sequence(rng, n)
         result = ReferenceFoldOracle().fold(seq, n_best)
         expected = census_of(build_competitors(seq, result, target), target)
-        census = competitor_census(seq, result, target)
+        census = competitor_census(seq, result)
+        # no competitors exactly when no fold structure has an arc
+        assert (census is None) == (not any(s.arcs for s in result.structures))
         assert as_consumed(census, target) == as_consumed(expected, target)
-        # the flag rule: a position the target pairs is flagged iff some fold
-        # structure has an arc, an unpaired one iff some competitor pairs it
-        has_arc = any(s.arcs for s in result.structures)
-        assert census.flagged[1:] == [
-            has_arc if t else bool(rivals - {0})
-            for t, rivals in zip(target.partner[1:], census.rivals[1:])]
 
     def test_open_chain_gives_an_empty_census(self):
         result = ReferenceFoldOracle().fold("AAAAAAAAAA", 1)
-        census = competitor_census("AAAAAAAAAA", result, HAIRPIN)
-        assert census.flagged == [False] * 11
-        assert census.rivals == [set()] * 11
+        assert competitor_census("AAAAAAAAAA", result) is None
 
 
 class TestMutation:
     def test_no_competitors_leaves_sequence_unchanged(self):
         rng = random.Random(0)
+        before = rng.getstate()
         out = mutate_against_competitors(
             "GGGAAAACCC", HAIRPIN, census_of((), HAIRPIN), rng
         )
-        assert out.sequence == "GGGAAAACCC"
-        assert out.mutated_positions == ()
+        assert out == MutationOutcome("GGGAAAACCC", (), ())
+        assert rng.getstate() == before  # nothing drawn
 
     def test_result_stays_target_compatible(self):
         rng = random.Random(1)
@@ -234,8 +236,8 @@ class TestMutation:
         for _ in range(50):
             target = random_valid_structure(rng, rng.randint(10, 16))
             seq = random_compatible_sequence(target, rng)
-            census = competitor_census(seq, oracle.fold(seq, 8), target)
-            out = mutate_against_competitors(seq, target, census, rng)
+            rivals = competitor_census(seq, oracle.fold(seq, 8))
+            out = mutate_against_competitors(seq, target, rivals, rng)
             assert is_compatible(out.sequence, target)
 
     def test_pair_redraw_breaks_competitor_partner(self):
@@ -257,22 +259,21 @@ class TestMutation:
 
     def test_breakability_invariant(self):
         rng = random.Random(23)
-        oracle = ReferenceFoldOracle()
-        checked = 0
-        while checked < 40:
+        for _ in range(200):
             target = random_valid_structure(rng, rng.randint(10, 16))
-            if not target.arcs:
-                continue
             seq = random_compatible_sequence(target, rng)
-            census = competitor_census(seq, oracle.fold(seq, 10), target)
-            if not any(census.flagged):
+            rivals = made_up_rivals(rng, target.n)
+            out = mutate_against_competitors(seq, target, rivals, rng)
+            if rivals is None:
+                assert out == MutationOutcome(seq, (), ())
                 continue
-            checked += 1
-            out = mutate_against_competitors(seq, target, census, rng)
+            # every arc site, and every unpaired site with a rival
+            assert out.mutated_positions == tuple(
+                w for w, v in sites(target) if v or rivals[w])
             for w in out.mutated_positions:
                 if w in out.fallback_positions:
                     continue
-                for u in census.rivals[w] - {target.partner[w]}:
+                for u in rivals[w] - {target.partner[w]}:
                     assert not can_pair(out.sequence[w - 1], seq[u - 1])
 
     def test_subset_competitor_cannot_be_broken(self):
@@ -293,18 +294,13 @@ class TestMutation:
             target = random_valid_structure(rng, rng.randint(10, 22))
             seq = random_compatible_sequence(target, rng)
             if case % 2:
-                census = competitor_census(seq, oracle.fold(seq, 50), target)
-            else:  # dense made-up rivals, which often leave no option
-                n = target.n
-                census = CompetitorCensus(
-                    [rng.random() < 0.5 for _ in range(n + 1)],
-                    [set(rng.sample(range(1, n + 1), rng.randint(0, 6)))
-                     for _ in range(n + 1)],
-                )
+                rivals = competitor_census(seq, oracle.fold(seq, 50))
+            else:
+                rivals = made_up_rivals(rng, target.n)
             seed = rng.getrandbits(32)
             ours, theirs = random.Random(seed), random.Random(seed)
-            out = mutate_against_competitors(seq, target, census, ours)
-            expected = reference_mutate_against_competitors(seq, target, census, theirs)
+            out = mutate_against_competitors(seq, target, rivals, ours)
+            expected = reference_mutate_against_competitors(seq, target, rivals, theirs)
             assert out == expected
             assert ours.getstate() == theirs.getstate()
             fallbacks += len(out.fallback_positions)

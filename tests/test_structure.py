@@ -29,7 +29,6 @@ from pkinv.structure import (
     OutOfRange,
     TooManyFamilies,
     UnbalancedBracket,
-    _relations,
     _stack_arcs,
     _stack_masks,
     restrict_structure,
@@ -97,6 +96,10 @@ class TestParse:
         with pytest.raises(ValueError):
             Structure.from_pairs(4, [(1, 5)])
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+            Structure(-1, ())
+
 
 class TestSerialize:
     def test_empty(self):
@@ -138,7 +141,7 @@ class TestSerialize:
             if len(triples) > 9:
                 continue
             checked += 1
-            crossing, _ = _relations(s.n, triples)
+            crossing, _, _, _ = _stack_masks(s.n, triples)
             edges = [(a, b) for a in range(len(triples)) for b in range(a)
                      if crossing[a] >> b & 1]
             assignments = itertools.product(range(3), repeat=len(triples))
@@ -247,7 +250,6 @@ class TestStacks:
             seq = "".join(rng.choice(alphabet) for _ in range(rng.randint(4, 30)))
             triples = oracle._candidate_stacks(policy, _pair_masks(seq))
             crossing, inside, overlap, inner = _stack_masks(len(seq), triples)
-            assert (crossing, inside) == _relations(len(seq), triples)
             positions = [{p for arc in _stack_arcs(*t) for p in arc} for t in triples]
             outer = [Arc(i, j) for i, j, _ in triples]
             for a in range(len(triples)):
