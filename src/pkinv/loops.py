@@ -14,6 +14,7 @@ runs, and the running union of everything seen so far.
 
 from __future__ import annotations
 
+import functools
 from itertools import accumulate, chain, groupby
 from typing import NamedTuple, Sequence
 
@@ -173,6 +174,8 @@ def _padded(span: tuple[int, int], s: Structure) -> tuple[int, int]:
     return lo, hi
 
 
+# every trial of a design walks the same target's ladder
+@functools.lru_cache(maxsize=256)
 def build_intervals(target: Structure) -> IntervalPlan:
     """Derive the interval ladder the local search walks.
 
@@ -185,7 +188,9 @@ def build_intervals(target: Structure) -> IntervalPlan:
     (right end, -left end) gives that order.  Each component emits its
     span, its padded span and the running hull of all padded spans;
     consecutive duplicates are dropped.  The final interval covers [1, n];
-    the empty chain (n = 0) has no interval.
+    the empty chain (n = 0) has no interval.  Plans are cached per target
+    in an LRU of 256 entries; a plan holds only tuples, so every caller
+    can share it.
     """
     sts = stacks(target)
     crossing, inside, _, _ = _stack_masks(target.n, sts)

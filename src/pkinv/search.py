@@ -195,7 +195,9 @@ def competitor_census(seq: str, fold_result: FoldResult) -> list[set[int]] | Non
     stays in range with i < j, lands on ends free in S minus the arc,
     and can pair.  Those shifts depend only on the arc and on whether S
     pairs i0 +- 1 and j0 +- 1, so each such neighbourhood is examined
-    once per call.  The target need not be dropped: its entries are the
+    once per call, and one where S pairs all four, as it does every inner
+    arc of a stack of three or more, not at all: every shift lands on an
+    end S pairs.  The target need not be dropped: its entries are the
     target partners, which mutation ignores.
     """
     structures = [s for s in fold_result.structures if s.arcs]
@@ -209,7 +211,11 @@ def competitor_census(seq: str, fold_result: FoldResult) -> list[set[int]] | Non
         for i0, j0 in s.arcs:
             paired |= 1 << i0 | 1 << j0
         for i0, j0 in s.arcs:
-            key = (i0, j0, paired >> (i0 - 1) & 5, paired >> (j0 - 1) & 5)
+            left = paired >> (i0 - 1) & 5
+            right = paired >> (j0 - 1) & 5
+            if left == right == 5:
+                continue
+            key = (i0, j0, left, right)
             if key in examined:
                 continue
             examined.add(key)

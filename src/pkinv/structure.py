@@ -376,13 +376,17 @@ def crossing_number(s: Structure) -> int:
     return k
 
 
+# every trial of a design validates the same target again
+@functools.lru_cache(maxsize=256)
 def validate_target(
     s: Structure, policy: ValidationPolicy | None = None
 ) -> tuple[Violation, ...]:
     """Check a structure against a policy; empty result means valid.
 
     All violations are reported, not just the first, so callers can show
-    complete diagnostics.
+    complete diagnostics.  Results are cached per (s, policy) in an LRU
+    of 256 entries; both arguments and the result are immutable records,
+    so every caller can share a hit.
     """
     policy = policy or ValidationPolicy()
     out: list[Violation] = []
@@ -433,11 +437,16 @@ def structure_distance(s1: Structure, s2: Structure) -> int:
     return sum(map(operator.ne, s1.partner, s2.partner))
 
 
+# every trial of a design cuts the same target along the same ladder
+@functools.lru_cache(maxsize=1024)
 def restrict_structure(s: Structure, lo: int, hi: int) -> Structure:
     """Substructure over [lo, hi], keeping arcs with both ends inside.
 
     Positions are shifted so the result is 1-based over hi - lo + 1
-    positions.  Arcs leaving the window are dropped.
+    positions.  Arcs leaving the window are dropped.  Results are cached
+    per (s, lo, hi) in an LRU of 1,024 entries, which callers share, as
+    a Structure is immutable; a window outside [1, n] raises OutOfRange
+    on every call, since exceptions are not cached.
     """
     if not (1 <= lo <= hi <= s.n):
         raise OutOfRange(f"window [{lo}, {hi}] outside [1, {s.n}]")

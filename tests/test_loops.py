@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pkinv import (
     Arc,
     Structure,
+    ValidationPolicy,
     build_intervals,
     enumerate_structures,
     parse_structure,
@@ -335,3 +336,36 @@ class TestOrderAndIntervals:
         assert digest.hexdigest() == (
             "e2da24ddb4f47ed77d15d2c142b4692b9d95f60db756371986791743f8879b4b"
         )
+
+    def test_cached_plans_equal_the_wrapped_function(self):
+        # hits and misses alike equal the uncached ladder, on valid targets
+        # under two policies and on random matchings
+        rng = random.Random(30)
+        cases = []
+        for _ in range(150):
+            n = rng.randint(0, 30)
+            cases += [random_valid_structure(rng, max(n, 10), policy)
+                      for policy in (ValidationPolicy(), ValidationPolicy(k=2, sigma=2))]
+            cases.append(random_matching(rng, n))
+        assert sum(any(c.kind == "pseudoknot"
+                       for c in build_intervals.__wrapped__(s).components)
+                   for s in cases) >= 50
+        for s in cases:
+            for _ in range(2):  # the second call hits
+                assert build_intervals(s) == build_intervals.__wrapped__(s)
+
+    def test_plan_cache_is_bounded(self):
+        # plans cycling over more targets than the cache holds equal the
+        # plans built afresh
+        maxsize = build_intervals.cache_info().maxsize
+        assert maxsize is not None
+        rng = random.Random(31)
+        targets = set()
+        while len(targets) < maxsize + 3:
+            targets.add(random_matching(rng, rng.randint(0, 40)))
+        targets = sorted(targets)
+        expected = [build_intervals.__wrapped__(s) for s in targets]
+        build_intervals.cache_clear()
+        for _ in range(2):
+            assert [build_intervals(s) for s in targets] == expected
+        assert build_intervals.cache_info().currsize <= maxsize

@@ -86,3 +86,16 @@ def test_helpers_keep_off_the_code_they_check():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         pkinv.no_such_name
+
+
+def test_every_cache_is_bounded():
+    # caches live for the whole process, so each holds a fixed number of
+    # entries
+    caches = {}
+    for module in ("structure", "loops", "sequences", "oracle", "search"):
+        for name, value in vars(import_module(f"pkinv.{module}")).items():
+            if callable(getattr(value, "cache_info", None)):
+                caches[name] = value.cache_info().maxsize
+    assert {"_stack_arcs", "_pair_table", "_floor_table", "validate_target",
+            "build_intervals", "restrict_structure"} <= set(caches)
+    assert [name for name, maxsize in caches.items() if maxsize is None] == []

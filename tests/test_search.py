@@ -521,6 +521,28 @@ class TestInverseFold:
             inverse_fold(HAIRPIN_TEXT, ReferenceFoldOracle(), SearchConfig(rng_seed=7))
         assert isinstance(err.value.__cause__, SizeGuard)
 
+    def test_trials_of_one_target_derive_its_views_once(self):
+        # every trial parses the target anew, and an equal Structure hits
+        # the caches: the target is validated and laddered once, and each
+        # distinct interval cut once
+        text = "::(((::[[[::)))::]]]::"
+        cached = (pkinv.search.validate_target, pkinv.search.build_intervals,
+                  pkinv.search.restrict_structure)
+        for function in cached:
+            function.cache_clear()
+        oracle = ReferenceFoldOracle()
+        walked = 0
+        for seed in range(5):
+            result = inverse_fold(text, oracle, SearchConfig(rng_seed=seed))
+            walked += any(record.phase == "local" for record in result.trace)
+        validated, laddered, restricted = (f.cache_info() for f in cached)
+        assert (validated.misses, validated.hits) == (1, 4)
+        assert (laddered.misses, laddered.hits) == (1, 4)
+        intervals = build_intervals(parse_structure(text)).intervals
+        assert walked == 5 and len(intervals) == 7
+        assert restricted.misses == len(set(intervals)) == 6
+        assert restricted.hits + restricted.misses == walked * len(intervals)
+
     def test_reproducible_from_seed(self):
         first = inverse_fold(
             PSEUDOKNOT_18, ReferenceFoldOracle(), SearchConfig(rng_seed=12)

@@ -347,8 +347,59 @@ class TestRestrict:
 
     @pytest.mark.parametrize("lo,hi", [(0, 5), (3, 19), (6, 5)])
     def test_window_outside_the_positions(self, lo, hi):
-        with pytest.raises(OutOfRange, match=f"window \\[{lo}, {hi}\\]"):
-            restrict_structure(parse_structure(PSEUDOKNOT_18), lo, hi)
+        # the cache keeps no exception, so every call raises again
+        for _ in range(2):
+            with pytest.raises(OutOfRange, match=f"window \\[{lo}, {hi}\\]"):
+                restrict_structure(parse_structure(PSEUDOKNOT_18), lo, hi)
+
+
+POLICIES = (ValidationPolicy(), ValidationPolicy(k=2, sigma=2, min_arc_length=3))
+
+
+class TestCaches:
+    def test_cached_calls_equal_the_wrapped_functions(self):
+        # hits, misses and repeats alike equal the uncached function, on
+        # valid targets under two policies and on random matchings
+        rng = random.Random(30)
+        cases = []
+        for _ in range(150):
+            n = rng.randint(1, 30)
+            cases += [random_valid_structure(rng, max(n, 10), policy)
+                      for policy in POLICIES]
+            cases.append(random_matching(rng, n))
+        assert sum(crossing_number(s) >= 2 for s in cases) >= 50
+        for s in cases:
+            lo = rng.randint(1, s.n)
+            hi = rng.randint(lo, s.n)
+            for _ in range(2):  # the second call hits
+                for policy in POLICIES + (None,):
+                    assert validate_target(s, policy) == validate_target.__wrapped__(
+                        s, policy)
+                assert restrict_structure(s, lo, hi) == restrict_structure.__wrapped__(
+                    s, lo, hi)
+
+    @pytest.mark.parametrize("cached", [validate_target, restrict_structure],
+                             ids=lambda f: f.__name__)
+    def test_cache_is_bounded(self, cached):
+        # calls cycling over more arguments than the cache holds equal the
+        # results computed afresh
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None
+        rng = random.Random(31)
+        calls = set()
+        while len(calls) < maxsize + 3:
+            s = random_matching(rng, rng.randint(1, 40))
+            if cached is validate_target:
+                calls.add((s, POLICIES[rng.randrange(2)]))
+            else:
+                lo = rng.randint(1, s.n)
+                calls.add((s, lo, rng.randint(lo, s.n)))
+        calls = sorted(calls)
+        expected = [cached.__wrapped__(*args) for args in calls]
+        cached.cache_clear()
+        for _ in range(2):
+            assert [cached(*args) for args in calls] == expected
+        assert cached.cache_info().currsize <= maxsize
 
 
 class TestRecord:
