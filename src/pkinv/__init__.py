@@ -19,7 +19,7 @@ _HOMES = {
         "loops"),
     **dict.fromkeys(
         ("EnergyModel", "FoldResult", "ReferenceFoldOracle", "SizeGuard",
-         "energy_of", "enumerate_structures", "fold"),
+         "energy_of", "fold"),
         "oracle"),
     **dict.fromkeys(
         ("InvalidTarget", "InvResult", "SearchConfig", "SearchFailed",

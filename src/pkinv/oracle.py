@@ -29,9 +29,9 @@ import threading
 from bisect import insort
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
-from .loops import _census, _members, loop_census
+from .loops import _census, loop_census
 from .sequences import PAIRS, _pair_masks, _require_compatible
 from .structure import (
     Arc,
@@ -42,15 +42,15 @@ from .structure import (
     _stack_masks,
 )
 
-# Candidate stacks one fold or enumeration may list: above the 825 of the
-# full enumeration at length 28 and the 650 of the widest fold of 40 or
-# fewer bases that completed in a seeded scan.  Each structure mask is
-# that many bits wide, and the crossing and overlap masks hold its square,
-# at most 1 Mbit.
+# Candidate stacks one fold may list: above the 825 of every structure
+# of length 28 and the 650 of the widest fold of 40 or fewer bases that
+# completed in a seeded scan.  Each structure mask is that many bits
+# wide, and the crossing and overlap masks hold its square, at most
+# 1 Mbit.
 MAX_CANDIDATES = 1024
-# Structures one fold or enumeration may visit: above the 161k valid
-# structures of length 28.  With MAX_CANDIDATES it bounds the rows at
-# about 250k x (100 B + 1024 / 8 B), or 57 MB.
+# Structures one fold may visit: above the 161k valid structures of
+# length 28.  With MAX_CANDIDATES it bounds the rows at about
+# 250k x (100 B + 1024 / 8 B), or 57 MB.
 MAX_STRUCTURES = 250_000
 # Structures one ReferenceFoldOracle's memo holds, least recently used
 # sequence out first.  It counts structures, not sequences, because an
@@ -199,41 +199,66 @@ def _pair_table(model: EnergyModel) -> dict[str, dict[str, float]]:
 
 
 def _candidate_stacks(
-    policy: ValidationPolicy, masks: list[int]
-) -> list[tuple[int, int, int]]:
-    """Stacks (i, j, size) with size >= sigma whose arcs all pair.
+    policy: ValidationPolicy,
+    masks: list[int],
+    seq: str,
+    pair: Mapping[str, Mapping[str, float]],
+) -> tuple[list[tuple[int, int, int]], list[tuple[float, ...]]]:
+    """Stacks (i, j, size) with size >= sigma whose arcs all pair, and the
+    score tuple of each: pair[x][y] of its arcs, outermost first, for x
+    and y the bases seq gives their ends.
 
     Bit q of masks[p] says that positions p and q can pair (1-based).  Each
     stack's innermost arc keeps the minimum arc length (never below 2, the
-    adjacent-pair bound).  The list is sorted by (i, j, size).  SizeGuard
-    refuses more than MAX_CANDIDATES stacks before any is built on.
+    adjacent-pair bound).  The stacks come out sorted by (i, j, size):
+    for each i the run mask of every size is collected first, then each
+    end j is walked upward through its sizes, and each score tuple after
+    the first of an outer arc is the one before it plus one arc.
+    SizeGuard refuses more than MAX_CANDIDATES stacks before any is
+    built on.
     """
     cap = MAX_CANDIDATES
     lmin = max(policy.min_arc_length, 2)
-    out = []
+    sigma = policy.sigma
+    out: list[tuple[int, int, int]] = []
+    scores: list[tuple[float, ...]] = []
     for i in range(1, len(masks)):
-        # bit j of run: the arcs (i, j), ..., (i + size - 1, j - size + 1) pair
+        # bit j of runs[size - 1]: the arcs (i, j), ..., (i + size - 1,
+        # j - size + 1) pair; each run lies inside the one before it
+        runs = []
         run, size = masks[i], 1
+        shortest = i + lmin  # the least j keeping the inner arc long
         while True:
-            shortest = i + lmin + 2 * (size - 1)  # j keeping the inner arc long
             run = run >> shortest << shortest
             if not run:
                 break
-            if size >= policy.sigma:
-                ends = run
-                while ends:
-                    low = ends & -ends
-                    out.append((i, low.bit_length() - 1, size))
-                    ends ^= low
-                if len(out) > cap:
-                    raise SizeGuard(
-                        f"more than {cap} candidate stacks at length "
-                        f"{len(masks) - 1}; the cap bounds the width of "
-                        f"every structure mask")
+            runs.append(run)
             run &= masks[i + size] << size
             size += 1
-    out.sort()
-    return out
+            shortest += 2
+        if size <= sigma:  # no run of sigma arcs
+            continue
+        ends = runs[sigma - 1]
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            j = low.bit_length() - 1
+            # tuple(list) builds short tuples faster than tuple(generator)
+            head = tuple([pair[seq[i + t - 1]][seq[j - t - 1]] for t in range(sigma)])
+            out.append((i, j, sigma))
+            scores.append(head)
+            size = sigma
+            while size < len(runs) and runs[size] & low:
+                head += (pair[seq[i + size - 1]][seq[j - size - 1]],)
+                size += 1
+                out.append((i, j, size))
+                scores.append(head)
+        if len(out) > cap:
+            raise SizeGuard(
+                f"more than {cap} candidate stacks at length "
+                f"{len(masks) - 1}; the cap bounds the width of "
+                f"every structure mask")
+    return out, scores
 
 
 def _stack_sets(
@@ -316,23 +341,6 @@ def _stack_sets(
     return sums, sets, shapes, crossing, inside
 
 
-def enumerate_structures(
-    n: int,
-    policy: ValidationPolicy | None = None,
-) -> Iterator[Structure]:
-    """Yield every valid structure of length n exactly once, in sorted order."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    policy = policy or ValidationPolicy()
-    candidates = _candidate_stacks(policy, [(1 << (n + 1)) - 2] * (n + 1))
-    _, sets, _, _, _ = _stack_sets(n, policy, candidates, [()] * len(candidates))
-    for arcs in sorted(
-        tuple(a for c in _members(chosen) for a in _stack_arcs(*candidates[c]))
-        for chosen in sets
-    ):
-        yield Structure(n, arcs)
-
-
 def _loop_floor(model: EnergyModel, free: int, knotted: bool) -> float:
     """The loop floor of fold's bound, for a structure of one shape.
 
@@ -368,6 +376,13 @@ def _floor_table(model: EnergyModel, n: int) -> tuple[float, ...]:
     return tuple(_loop_floor(model, shape >> 1, shape & 1) for shape in range(n + 2))
 
 
+def _require_n_best(n_best: int) -> None:
+    if not isinstance(n_best, int):
+        raise TypeError(f"n_best must be an integer, not {type(n_best).__name__}")
+    if n_best < 1:
+        raise ValueError("n_best must be at least 1")
+
+
 def fold(
     seq: str,
     n_best: int = 1,
@@ -399,7 +414,11 @@ def fold(
     Structures are scored in ascending bound until the bound exceeds the
     n_best-th energy found, so ties with it are still scored.
 
-    Four pieces of work are skipped, each without changing a result:
+    A fold is two steps: _rows enumerates the structures with their
+    pair-score sums, and _select bounds, scores and returns the best of
+    them, so a caller holding one sequence's rows can select again at
+    another n_best.  Five pieces of work are skipped, each without
+    changing a result:
 
     - the floors come from a table per model and length, which
       _floor_table keeps for the last few dozen, since a floor depends
@@ -407,32 +426,41 @@ def fold(
       from the nested table _pair_table keeps per model;
     - with at most n_best structures every one is returned, so all are
       scored with no floor, bound or sort, which could skip none;
+    - the candidate stacks are emitted already in (i, j, size) order,
+      each with its score tuple, so they are neither sorted nor walked a
+      second time;
     - a score tuple extends the previous candidate's when both share an
       outer arc, holding the same values in the same order, so every
       sum adds alike;
     - a structure none of whose stacks cross skips the pseudoknot
       grouping, since without a crossing no pseudoknot forms.
     """
-    if n_best < 1:
-        raise ValueError("n_best must be at least 1")
-    policy = policy or ValidationPolicy()
+    _require_n_best(n_best)
+    return _select(_rows(seq, policy or ValidationPolicy(), model), n_best, model)
+
+
+def _rows(seq: str, policy: ValidationPolicy, model: EnergyModel) -> tuple:
+    """fold's enumeration step: every structure compatible with seq.
+
+    The rows come as one tuple: the length, the candidate stacks and
+    their sizes, each row's pair-score sum, stack set and shape, and the
+    candidates' crossing and inside masks.
+    """
+    candidates, scores = _candidate_stacks(
+        policy, _pair_masks(seq), seq, _pair_table(model))
     n = len(seq)
-    candidates = _candidate_stacks(policy, _pair_masks(seq))
-    pair = _pair_table(model)
-    # the sizes of one outer arc are consecutive candidates, so each
-    # score tuple after the first is the one before it plus one arc
-    scores: list[tuple[float, ...]] = []
-    outer = None
-    for i, j, size in candidates:
-        if outer == (i, j):
-            head += (pair[seq[i + size - 2]][seq[j - size]],)
-        else:
-            outer = i, j
-            # tuple(list) builds short tuples faster than tuple(generator)
-            head = tuple([pair[seq[i + t - 1]][seq[j - t - 1]] for t in range(size)])
-        scores.append(head)
     sums, sets, shapes, crossing, inside = _stack_sets(n, policy, candidates, scores)
     sizes = [size for _, _, size in candidates]
+    return n, candidates, sizes, sums, sets, shapes, crossing, inside
+
+
+def _select(rows: tuple, n_best: int, model: EnergyModel) -> FoldResult:
+    """fold's selection step: the n_best lowest-energy rows, as a result.
+
+    It only reads the rows, so one enumeration serves any number of
+    selections.
+    """
+    n, candidates, sizes, sums, sets, shapes, crossing, inside = rows
     if len(sums) <= n_best:  # every row is returned: no bound can skip one
         scored = [
             (total + model.loop_energy(
@@ -488,6 +516,14 @@ class ReferenceFoldOracle:
     entry just stored never goes, so one larger than the budget stays
     until the next store.
 
+    A slot keeps the rows (fold's enumeration) of the last sequence
+    folded, so refolding that sequence at a larger n_best, as the search
+    does when an attempt it folded at n_best 1 leads the next adjust
+    round, only selects again.  The slot is emptied before any other
+    sequence is enumerated and is never filled by a refused fold, so an
+    oracle holds at most one enumeration, no more than one fold builds
+    anyway: at most MAX_STRUCTURES rows.
+
     Duck-typed contract for any substitute: a ``policy`` attribute and a
     ``fold(seq, n_best=1) -> FoldResult`` method that is deterministic
     and safe to call from concurrent searches.
@@ -502,17 +538,28 @@ class ReferenceFoldOracle:
         self.model = model
         self._cache: OrderedDict[str, tuple[int, FoldResult]] = OrderedDict()
         self._held = 0  # structures the memo's results hold
-        self._lock = threading.Lock()  # guards _cache and _held, not folds
+        self._kept: tuple[str, tuple] | None = None  # the last rows enumerated
+        # guards _cache, _held and _kept, not folds: rows are only read
+        # once built, and concurrent folds at worst replace each other's
+        # kept rows, which loses a reuse but never changes a result
+        self._lock = threading.Lock()
 
     def fold(self, seq: str, n_best: int = 1) -> FoldResult:
+        _require_n_best(n_best)
         with self._lock:
             stored, result = self._cache.get(seq, (0, None))
-            hit = 0 < n_best <= stored  # fold refuses an n_best below 1
+            hit = n_best <= stored
             if hit:
                 self._cache.move_to_end(seq)
+            else:
+                kept = self._kept
+                if kept is not None and kept[0] != seq:
+                    self._kept = kept = None  # free it before enumerating
         if not hit:
-            stored, result = n_best, fold(seq, n_best, self.policy, self.model)
+            rows = kept[1] if kept else _rows(seq, self.policy, self.model)
+            stored, result = n_best, _select(rows, n_best, self.model)
             with self._lock:
+                self._kept = seq, rows
                 # the entry of a smaller n_best, or a concurrent caller's
                 replaced = self._cache.pop(seq, None)
                 if replaced is not None:

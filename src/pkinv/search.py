@@ -10,6 +10,7 @@ sequence re-folds to the target arc for arc.
 
 from __future__ import annotations
 
+import functools
 import math
 from random import Random
 from typing import ClassVar, Iterable, NamedTuple
@@ -80,6 +81,9 @@ class SearchConfig(_ConfigFields):
 
     def __new__(cls, *args, **kwargs) -> "SearchConfig":
         self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.n_best, int):
+            raise TypeError(
+                f"n_best must be an integer, not {type(self.n_best).__name__}")
         if self.n_best < 1:
             raise ValueError("n_best must be positive")
         return self
@@ -326,8 +330,17 @@ def adjust_sequence(
     return current if kept < best_distance else best_seq
 
 
+# a design walks a few sub-targets, a campaign a few hundred
+@functools.lru_cache(maxsize=1024)
+def _site_order(target_sub: Structure) -> tuple[tuple[int, int], ...]:
+    """The sites of target_sub, unpaired first, each kind in position order."""
+    return tuple(sorted(sites(target_sub), key=_unpaired_first))
+
+
 def _candidate_sites(
-    folded: Structure, target_sub: Structure, target_sites: list[tuple[int, int]]
+    folded: Structure,
+    target_sub: Structure,
+    target_sites: tuple[tuple[int, int], ...],
 ) -> list[tuple[int, int]]:
     """The sites of target_sub with an end at or next to a position that
     folds wrongly, in the order of target_sites, its sites unpaired first."""
@@ -361,7 +374,7 @@ def local_search(
     cap = config.phase_cap_factor * target.n
     for lo, hi in plan.intervals:
         target_sub = restrict_structure(target, lo, hi)
-        target_sites = sorted(sites(target_sub), key=_unpaired_first)
+        target_sites = _site_order(target_sub)
         calls = 0
         passes = 0
         best_distance = math.inf

@@ -13,7 +13,6 @@ from pkinv import (
     Structure,
     ValidationPolicy,
     build_intervals,
-    enumerate_structures,
     parse_structure,
     stacks,
 )
@@ -29,6 +28,7 @@ from .helpers import (
     random_matching,
     random_valid_structure,
 )
+from .test_oracle import enumerate_structures
 
 HAIRPIN = parse_structure("(((....)))")
 PK18 = parse_structure(PSEUDOKNOT_18)

@@ -16,8 +16,8 @@ from pkinv import (
     Arc,
     Structure,
     ValidationPolicy,
+    can_pair,
     energy_of,
-    enumerate_structures,
     fold,
     inverse_fold,
     is_compatible,
@@ -25,10 +25,10 @@ from pkinv import (
     validate_target,
 )
 from pkinv import loops, oracle
-from pkinv.loops import loop_census
+from pkinv.loops import _members, loop_census
 from pkinv.oracle import DEFAULT_MODEL, EnergyModel, ReferenceFoldOracle, SizeGuard
-from pkinv.sequences import IncompatibleInput
-from pkinv.structure import _stack_masks, stacks
+from pkinv.sequences import IncompatibleInput, _pair_masks
+from pkinv.structure import _stack_arcs, _stack_masks, stacks
 
 from .helpers import (
     PSEUDOKNOT_18,
@@ -54,6 +54,28 @@ FRACTIONAL_MODEL = EnergyModel(
                  ("GU", -0.7), ("UA", -2.1), ("UG", -0.7)),
     hairpin=0.7, interior=0.3, multi=0.1, pseudoknot=0.2,
 )
+
+
+def unconstrained_candidates(n, policy):
+    """The oracle's candidate stacks when every position pairs with every
+    other, each pair scoring 0, and their score tuples."""
+    return oracle._candidate_stacks(
+        policy, [(1 << (n + 1)) - 2] * (n + 1), "N" * n, {"N": {"N": 0.0}})
+
+
+def enumerate_structures(n, policy=None):
+    """Yield every valid structure of length n exactly once, in sorted order,
+    from the oracle's enumeration."""
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    policy = policy or ValidationPolicy()
+    candidates, scores = unconstrained_candidates(n, policy)
+    _, sets, _, _, _ = oracle._stack_sets(n, policy, candidates, scores)
+    for arcs in sorted(
+        tuple(a for c in _members(chosen) for a in _stack_arcs(*candidates[c]))
+        for chosen in sets
+    ):
+        yield Structure(n, arcs)
 
 
 @lru_cache(maxsize=None)
@@ -136,9 +158,8 @@ class TestEnumerate:
     def test_candidate_cap_admits_the_full_enumeration_at_28(self):
         # MAX_STRUCTURES is sized for every structure of length 28, so the
         # candidate cap must not cut that enumeration short
-        full = [(1 << 29) - 2] * 29
-        count = len(oracle._candidate_stacks(ValidationPolicy(), full))
-        assert count == 825 <= oracle.MAX_CANDIDATES
+        candidates, _ = unconstrained_candidates(28, ValidationPolicy())
+        assert len(candidates) == 825 <= oracle.MAX_CANDIDATES
 
     def test_structure_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_STRUCTURES", 100)
@@ -167,6 +188,50 @@ class TestEnumerate:
         policy = ValidationPolicy(k=2, sigma=3, min_arc_length=4)
         for s in enumerate_structures(18, policy):
             assert crossing_number(s) <= 1
+
+
+class TestCandidateStacks:
+    @pytest.mark.parametrize("policy", [
+        ValidationPolicy(),
+        ValidationPolicy(sigma=1, min_arc_length=1),
+        ValidationPolicy(sigma=2, min_arc_length=3),
+    ], ids=["default", "sigma1-arc1", "sigma2-arc3"])
+    def test_stacks_come_sorted_with_the_pair_tables_scores(self, policy):
+        pair = oracle._pair_table(FRACTIONAL_MODEL)
+        lmin = max(policy.min_arc_length, 2)
+        total = 0
+        for seq in seeded_sequences(41, 200, 4, 40):
+            n = len(seq)
+            candidates, scores = oracle._candidate_stacks(
+                policy, _pair_masks(seq), seq, pair)
+            # every stack whose arcs all pair, its inner arc long enough,
+            # listed in (i, j, size) order
+            expected = [
+                (i, j, size)
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+                for size in range(policy.sigma, (j - i) // 2 + 2)
+                if j - i - 2 * (size - 1) >= lmin
+                and all(can_pair(seq[i + t - 1], seq[j - t - 1]) for t in range(size))
+            ]
+            assert candidates == expected == sorted(candidates)
+            assert scores == [
+                tuple(pair[seq[i + t - 1]][seq[j - t - 1]] for t in range(size))
+                for i, j, size in candidates
+            ]
+            total += len(candidates)
+        assert total >= 2500  # 2,989 under the default policy
+
+    def test_refuses_past_the_candidate_cap(self, monkeypatch):
+        seq = "GC" * 20  # 1,496 candidate stacks
+        args = (ValidationPolicy(), _pair_masks(seq), seq, oracle._pair_table(DEFAULT_MODEL))
+        with pytest.raises(SizeGuard, match="more than 1024 candidate stacks at length 40"):
+            oracle._candidate_stacks(*args)
+        monkeypatch.setattr(oracle, "MAX_CANDIDATES", 1496)
+        assert len(oracle._candidate_stacks(*args)[0]) == 1496
+        monkeypatch.setattr(oracle, "MAX_CANDIDATES", 1495)
+        with pytest.raises(SizeGuard, match="more than 1495 candidate stacks"):
+            oracle._candidate_stacks(*args)
 
 
 class TestEnergy:
@@ -362,6 +427,11 @@ class TestFold:
     def test_non_acgu_sequence_rejected(self, seq):
         with pytest.raises(IncompatibleInput, match="contains non-ACGU characters"):
             fold(seq)
+
+    @pytest.mark.parametrize("n_best", [2.5, 2.0, "2", None])
+    def test_non_integer_n_best_is_refused(self, n_best):
+        with pytest.raises(TypeError, match="^n_best must be an integer, not "):
+            fold("GGGAAAACCC", n_best)
 
     def test_empty_sequence_folds_empty(self):
         result = fold("")
@@ -596,6 +666,38 @@ class TestFold:
         assert run_python(code).strip() == "False"
 
 
+def count_fold_steps(monkeypatch) -> list[tuple[str, object]]:
+    """Log each call of the oracle module's two fold steps, as ("rows",
+    seq) for an enumeration and ("select", n_best) for a selection."""
+    steps = []
+    rows, select = oracle._rows, oracle._select
+
+    def counted_rows(seq, *rest):
+        steps.append(("rows", seq))
+        return rows(seq, *rest)
+
+    def counted_select(kept, n_best, model):
+        steps.append(("select", n_best))
+        return select(kept, n_best, model)
+
+    monkeypatch.setattr(oracle, "_rows", counted_rows)
+    monkeypatch.setattr(oracle, "_select", counted_select)
+    return steps
+
+
+def count_enumerations(monkeypatch) -> list[int]:
+    """Log the length each _stack_sets call enumerates at."""
+    lengths = []
+    stack_sets = oracle._stack_sets
+
+    def counted(n, *rest):
+        lengths.append(n)
+        return stack_sets(n, *rest)
+
+    monkeypatch.setattr(oracle, "_stack_sets", counted)
+    return lengths
+
+
 def memo_structures(memo: ReferenceFoldOracle) -> int:
     """The structures a ReferenceFoldOracle's memo entries hold."""
     return sum(len(result.structures) for _, result in memo._cache.values())
@@ -663,15 +765,13 @@ class TestOracleObject:
         result = memo.fold(seq, 50)
         assert len(result.structures) == 38
         assert list(memo._cache) == [seq] and memo._held == 38
-        calls = []
-        real_fold = oracle.fold
-        monkeypatch.setattr(oracle, "fold",
-                            lambda *args: calls.append(args[:2]) or real_fold(*args))
+        expected = fold(seq, 3)
+        steps = count_fold_steps(monkeypatch)
         assert memo.fold(seq, 50) is result
-        assert memo.fold(seq, 3) == real_fold(seq, 3)
-        assert calls == []
+        assert memo.fold(seq, 3) == expected
+        assert steps == []
         memo.fold("GGGAAAACCC", 1)
-        assert calls == [("GGGAAAACCC", 1)]
+        assert steps == [("rows", "GGGAAAACCC"), ("select", 1)]
         assert list(memo._cache) == ["GGGAAAACCC"] and memo._held == 1
 
     def test_memo_answers_smaller_n_best_without_folding(self, monkeypatch):
@@ -684,14 +784,11 @@ class TestOracleObject:
         memo = ReferenceFoldOracle()
         for seq in seqs:
             memo.fold(seq, 50)
-        calls = []
-        real_fold = oracle.fold
-        monkeypatch.setattr(oracle, "fold",
-                            lambda *args: calls.append(args) or real_fold(*args))
+        steps = count_fold_steps(monkeypatch)
         for seq in seqs:
             for k in range(50, 0, -1):
                 assert memo.fold(seq, k) == expected[seq, k]
-        assert calls == []
+        assert steps == []
         assert {stored for stored, _ in memo._cache.values()} == {50}
         with pytest.raises(ValueError, match="n_best"):  # a stored entry is no answer
             memo.fold(seqs[0], 0)
@@ -701,17 +798,15 @@ class TestOracleObject:
         seq = "GGGCCCAAAGGGCCCAAAGGGCCC"  # 38 structures
         memo = ReferenceFoldOracle()
         memo.fold(seq, 2)
-        calls = []
-        real_fold = oracle.fold
-        monkeypatch.setattr(oracle, "fold",
-                            lambda *args: calls.append(args[:2]) or real_fold(*args))
+        expected = {k: fold(seq, k) for k in (2, 7)}
+        steps = count_fold_steps(monkeypatch)
         result = memo.fold(seq, 7)
-        assert calls == [(seq, 7)]
-        assert result == real_fold(seq, 7)
+        assert steps == [("select", 7)]  # from the rows kept at n_best 2
+        assert result == expected[7]
         assert len(result.structures) == 7
         assert memo._cache[seq] == (7, result)
-        assert memo.fold(seq, 2) == real_fold(seq, 2)
-        assert calls == [(seq, 7)]
+        assert memo.fold(seq, 2) == expected[2]
+        assert steps == [("select", 7)]
 
     def test_memo_is_safe_under_concurrent_callers(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_MEMO_STRUCTURES", 8)
@@ -744,6 +839,104 @@ class TestOracleObject:
         assert errors == []
         # every store ends within the budget, and no race made the count drift
         assert memo_structures(memo) == memo._held <= 8
+
+    def test_refold_at_a_larger_n_best_enumerates_once(self, monkeypatch):
+        seq = "GGGCCCAAAGGGCCCAAAGGGCCC"
+        expected = fold(seq, 50)
+        enumerations = count_enumerations(monkeypatch)
+        memo = ReferenceFoldOracle()
+        memo.fold(seq, 1)
+        assert memo.fold(seq, 50) == expected
+        assert enumerations == [24]
+
+    def test_another_sequence_between_folds_empties_the_slot(self, monkeypatch):
+        seq, other = "GGGCCCAAAGGGCCCAAAGGGCCC", "GGGAAAACCC"
+        enumerations = count_enumerations(monkeypatch)
+        memo = ReferenceFoldOracle()
+        memo.fold(seq, 1)
+        memo.fold(other, 1)
+        assert memo._kept[0] == other  # the slot holds one enumeration
+        memo.fold(seq, 50)
+        assert enumerations == [24, 10, 24]
+
+    def test_a_fresh_oracle_reuses_no_other_oracles_rows(self, monkeypatch):
+        seq = "GGGCCCAAAGGGCCCAAAGGGCCC"
+        enumerations = count_enumerations(monkeypatch)
+        ReferenceFoldOracle().fold(seq, 1)
+        ReferenceFoldOracle().fold(seq, 50)
+        assert enumerations == [24, 24]
+
+    def test_a_refused_fold_leaves_no_rows_behind(self, monkeypatch):
+        # the candidate cap refuses "GC" * 20 before any row is built, the
+        # structure cap "GC" * 12 once its rows pass 1,000
+        monkeypatch.setattr(oracle, "MAX_STRUCTURES", 1000)
+        seq = "GC" * 10
+        enumerations = count_enumerations(monkeypatch)
+        for refused in ("GC" * 20, "GC" * 12):
+            memo = ReferenceFoldOracle()
+            memo.fold(seq, 1)
+            with pytest.raises(SizeGuard):
+                memo.fold(refused, 1)
+            assert memo._kept is None and list(memo._cache) == [seq]
+            memo.fold(seq, 50)
+        assert enumerations == [20, 20, 20, 24, 20]
+
+    @pytest.mark.parametrize("model", [DEFAULT_MODEL, FRACTIONAL_MODEL],
+                             ids=["default", "fractional"])
+    def test_reused_rows_select_as_a_fresh_fold(self, monkeypatch, model):
+        seqs = seeded_sequences(19, 16, 12, 30)
+        ladder = (1, 2, 3, 5, 8, 13, 21, 34, 49, 50)
+        expected = {(seq, k): fold(seq, k, model=model) for seq in seqs for k in ladder}
+        assert any(len(expected[seq, 50].structures) < 50 for seq in seqs)
+        assert any(len(expected[seq, 50].structures) == 50 for seq in seqs)
+        enumerations = count_enumerations(monkeypatch)
+        memo = ReferenceFoldOracle(model=model)
+        for seq in seqs:
+            for k in ladder:  # each a miss: the memo holds a smaller n_best
+                assert memo.fold(seq, k) == expected[seq, k]
+        assert enumerations == [len(seq) for seq in seqs]
+
+    @pytest.mark.parametrize("n_best", [2.5, 2.0, "2", None])
+    def test_non_integer_n_best_is_refused(self, n_best):
+        memo = ReferenceFoldOracle()
+        memo.fold("GGGAAAACCC", 50)
+        with pytest.raises(TypeError, match="^n_best must be an integer, not "):
+            memo.fold("GGGAAAACCC", n_best)
+
+    def test_kept_rows_are_safe_under_concurrent_callers(self, monkeypatch):
+        # each worker folds a sequence at n_best 1 and then at 50, the
+        # refold the kept rows serve, while the others replace the slot
+        monkeypatch.setattr(oracle, "MAX_MEMO_STRUCTURES", 60)
+        memo = ReferenceFoldOracle()
+        seqs = seeded_sequences(29, 12, 14, 22)
+        expected = {(seq, k): fold(seq, k) for seq in seqs for k in (1, 50)}
+        errors = []
+
+        def worker(offset):
+            try:
+                for step in range(200):
+                    seq = seqs[(offset + 5 * step) % len(seqs)]
+                    for k in (1, 50):
+                        if memo.fold(seq, k) != expected[seq, k]:
+                            errors.append((seq, k))
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # the slot pairs a sequence with that sequence's own rows
+        seq, rows = memo._kept
+        assert oracle._select(rows, 50, memo.model) == expected[seq, 50]
 
     def test_custom_policy_changes_space(self):
         lenient = ReferenceFoldOracle(ValidationPolicy(k=3, sigma=2, min_arc_length=4))

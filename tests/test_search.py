@@ -31,6 +31,7 @@ from pkinv.search import (
     SearchFailed,
     _candidate_sites,
     _CountingOracle,
+    _site_order,
     adjust_sequence,
     build_competitors,
     local_search,
@@ -322,6 +323,14 @@ class TestSearchConfig:
         with pytest.raises(TypeError):
             SearchConfig(mutation_retries=3)
 
+    @pytest.mark.parametrize("n_best", [2.5, 2.0, "2", None])
+    def test_non_integer_n_best_is_refused_up_front(self, n_best):
+        # rather than mid-search, where the oracle slices by n_best
+        with pytest.raises(TypeError, match="^n_best must be an integer, not "):
+            SearchConfig(n_best=n_best)
+        with pytest.raises(TypeError, match="^n_best must be an integer, not "):
+            SearchConfig()._replace(n_best=n_best)
+
 
 def scripted_adjust(monkeypatch, arcs_missing: dict[int, int]) -> tuple[int, list]:
     """The returned sequence's index and the trace of adjust_sequence on a
@@ -449,6 +458,31 @@ class TestLocalSearch:
         )
         assert is_compatible(final, target)
 
+    def test_site_order_cache_equals_the_uncached_order(self):
+        rng = random.Random(43)
+        cases = [random_matching(rng, rng.randint(0, 40)) for _ in range(150)]
+        cases += [random_valid_structure(rng, rng.randint(10, 40), max_stacks=6)
+                  for _ in range(150)]
+        for target in cases:
+            expected = _site_order.__wrapped__(target)
+            assert expected == tuple(sorted(sites(target), key=_unpaired_first))
+            for _ in range(2):  # the second call hits
+                assert _site_order(target) == expected
+
+    def test_site_order_cache_is_bounded(self):
+        maxsize = _site_order.cache_info().maxsize
+        assert maxsize is not None
+        rng = random.Random(31)
+        targets = set()
+        while len(targets) < maxsize + 3:
+            targets.add(random_matching(rng, rng.randint(0, 40)))
+        targets = sorted(targets)
+        expected = [_site_order.__wrapped__(t) for t in targets]
+        _site_order.cache_clear()
+        for _ in range(2):
+            assert [_site_order(t) for t in targets] == expected
+        assert _site_order.cache_info().currsize <= maxsize
+
     def test_candidate_sites_equal_the_reference(self):
         rng = random.Random(37)
         for case in range(400):
@@ -574,11 +608,16 @@ class TestInverseFold:
     def test_memo_budget_keeps_every_fold_of_a_shared_batch(self, monkeypatch):
         # the batch leaves 1,978 structures in a memo without a budget, so
         # the budget evicts, yet every repeat still finds its entry: the
-        # fold count and the designs are those of an unbounded memo
+        # fold count and the designs are those of an unbounded memo.  A
+        # fold is a selection, and one from the kept rows of the fold
+        # just before it enumerates nothing
         calls = []
-        real_fold = oracle.fold
-        monkeypatch.setattr(oracle, "fold",
-                            lambda *args: calls.append(args[:2]) or real_fold(*args))
+        enumerations = []
+        select, stack_sets = oracle._select, oracle._stack_sets
+        monkeypatch.setattr(oracle, "_select",
+                            lambda *args: calls.append(args[1]) or select(*args))
+        monkeypatch.setattr(oracle, "_stack_sets",
+                            lambda *args: enumerations.append(args[0]) or stack_sets(*args))
         memo = ReferenceFoldOracle()
         lines = []
         oracle_calls = 0
@@ -593,6 +632,7 @@ class TestInverseFold:
                 oracle_calls += design[1]
                 assert memo._held <= oracle.MAX_MEMO_STRUCTURES
         assert (len(calls), oracle_calls) == (735, 1086)
+        assert len(enumerations) == 689
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
             "89f49b07a8755109dcaf4a265455e4090e7bbde4892412ebd74e94d0f1708edd"

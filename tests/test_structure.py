@@ -248,7 +248,8 @@ class TestStacks:
         for trial in range(150):
             alphabet = "ACGU" if trial % 2 else "GGGCCCAU"  # random, GC-rich
             seq = "".join(rng.choice(alphabet) for _ in range(rng.randint(4, 30)))
-            triples = oracle._candidate_stacks(policy, _pair_masks(seq))
+            triples, _ = oracle._candidate_stacks(
+                policy, _pair_masks(seq), seq, oracle._pair_table(oracle.DEFAULT_MODEL))
             crossing, inside, overlap, inner = _stack_masks(len(seq), triples)
             positions = [{p for arc in _stack_arcs(*t) for p in arc} for t in triples]
             outer = [Arc(i, j) for i, j, _ in triples]
