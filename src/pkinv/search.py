@@ -17,9 +17,9 @@ from typing import ClassVar, Iterable, NamedTuple
 
 from .loops import IntervalPlan, build_intervals
 from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard
-from .sequences import (_PARTNERS, _pair_masks, _unpaired_first, can_pair,
-                        other_values, put, random_compatible_sequence, site_chars,
-                        site_values, sites)
+from .sequences import (BASES, PAIRS, _pair_masks, _partner_masks, _unpaired_first,
+                        can_pair, random_compatible_sequence, redraw_site,
+                        site_chars, sites)
 from .structure import (
     Arc,
     Structure,
@@ -189,31 +189,40 @@ def build_competitors(
     return tuple(survivors[key] for key in sorted(survivors))
 
 
-def competitor_census(seq: str, fold_result: FoldResult) -> list[set[int]] | None:
+def competitor_census(seq: str, fold_result: FoldResult) -> list[int] | None:
     """The partners build_competitors' survivors give each position 0..n,
-    without building them; None when no fold structure holds an arc.
+    as bit masks, without building them; None when no fold structure
+    holds an arc.
 
-    A fold structure S's whole partner vector counts, as S is its own
-    unshifted perturbation.  A perturbation at arc (i0, j0) differs from
-    S only at its touched ends: a shift to (i, j) pairs i with j when it
-    stays in range with i < j, lands on ends free in S minus the arc,
-    and can pair.  Those shifts depend only on the arc and on whether S
-    pairs i0 +- 1 and j0 +- 1, so each such neighbourhood is examined
-    once per call, and one where S pairs all four, as it does every inner
-    arc of a stack of three or more, not at all: every shift lands on an
-    end S pairs.  The target need not be dropped: its entries are the
-    target partners, which mutation ignores.
+    Bit u of rivals[w] is set when some survivor pairs w with u, so only
+    bits 1..n are ever set, and rivals[0] is 0.  A fold structure S's
+    arcs all count, as S is its own unshifted perturbation.  A
+    perturbation at arc (i0, j0) differs from S only at its touched
+    ends: a shift to (i, j) pairs i with j when it stays in range with
+    i < j, lands on ends free in S minus the arc, and can pair, so the
+    ends j of one i are pairs[i] & free & window in one mask, the window
+    being j0 - 1..j0 + 1.  No end needs a test for i < j: no base pairs
+    itself, and an end below i only arises from a one-long arc
+    (i0, i0 + 1), as its own partner i0 of i = i0 + 1.  The shifts
+    depend only on the arc and on whether S pairs i0 +- 1 and j0 +- 1,
+    so each such neighbourhood is examined once per call, and one where
+    S pairs all four, as it does every inner arc of a stack of three or
+    more, not at all: every shift lands on an end S pairs.  The target
+    need not be dropped: its entries are the target partners, which
+    mutation ignores.
     """
     structures = [s for s in fold_result.structures if s.arcs]
     if not structures:
         return None
     pairs = _pair_masks(seq)  # bit j of pairs[i]: i and j can pair
-    rivals = [set(column) - {0} for column in zip(*(s.partner for s in structures))]
+    rivals = [0] * len(pairs)
     examined = set()
     for s in structures:
         paired = 0
         for i0, j0 in s.arcs:
             paired |= 1 << i0 | 1 << j0
+            rivals[i0] |= 1 << j0
+            rivals[j0] |= 1 << i0
         for i0, j0 in s.arcs:
             left = paired >> (i0 - 1) & 5
             right = paired >> (j0 - 1) & 5
@@ -224,50 +233,70 @@ def competitor_census(seq: str, fold_result: FoldResult) -> list[set[int]] | Non
                 continue
             examined.add(key)
             free = ~paired | 1 << i0 | 1 << j0
+            window = free & 7 << (j0 - 1)
             for i in (i0 - 1, i0, i0 + 1):
                 if not free >> i & 1:
                     continue
-                ends = pairs[i] & free
-                if i == i0:  # the unshifted arc is in S's partner column
-                    ends &= ~(1 << j0)
-                for j in (j0 - 1, j0, j0 + 1):
-                    if ends >> j & 1 and i < j:
-                        rivals[i].add(j)
-                        rivals[j].add(i)
+                ends = pairs[i] & window
+                if ends:
+                    rivals[i] |= ends
+                    for j in (j0 - 1, j0, j0 + 1):
+                        if ends >> j & 1:
+                            rivals[j] |= 1 << i
     return rivals
 
 
-def mutate_against_competitors(
-    seq: str, target: Structure, rivals: list[set[int]] | None, rng: Random
-) -> MutationOutcome:
-    """Redraw every arc site of the target and every unpaired site whose
-    rival set is non-empty; rivals None (no competitors) redraws nothing.
+# a design mutates against one target, a campaign against a few dozen
+@functools.lru_cache(maxsize=1024)
+def _target_sites(target: Structure) -> tuple[tuple[int, int], ...]:
+    """The sites of target in position order, as a tuple."""
+    return tuple(sites(target))
 
-    These are the sites with an end that some competitor pairs
-    differently from the target, since some competitor unpairs every
-    position.  A site gets a new value whose start-side base bonds with
-    no rival of its start; an arc's own partner does not count.
-    Constraints always compare against the pre-mutation sequence.  When
-    no value satisfies them the site is redrawn unconstrained and is
-    recorded as a fallback.
+
+def mutate_against_competitors(
+    seq: str, target: Structure, rivals: list[int] | None, rng: Random
+) -> MutationOutcome:
+    """Redraw every arc site of the target and every unpaired site with a
+    rival; rivals None (no competitors) redraws nothing.
+
+    rivals is competitor_census' list of masks: bit u of rivals[w] says
+    that some competitor pairs w with u.  The redrawn sites are those
+    with an end that some competitor pairs differently from the target,
+    since some competitor unpairs every position.  A site (w, v) gets a
+    new value whose start-side base x bonds with no rival of w, an
+    arc's own partner v excepted: x is kept when rivals[w] & ~(1 << v)
+    & partners[x] is 0, where bit u of partners[x] says that x pairs
+    with the base at u.  Constraints always compare against the
+    pre-mutation sequence.  When no value satisfies them the site is
+    redrawn unconstrained and is recorded as a fallback.  The target's
+    sites come from a tuple kept per target (_target_sites, an LRU of
+    1,024), since each round mutates the same target up to
+    mutation_retries times.
     """
     if rivals is None:
         return MutationOutcome(seq, (), ())
-    chars = site_chars(seq)
-    new = chars.copy()
+    partners = _partner_masks(seq)
+    new = site_chars(seq)
     mutated: list[int] = []
     fallbacks: list[int] = []
-    for w, v in sites(target):
-        if not (v or rivals[w]):
+    for w, v in _target_sites(target):
+        rival = rivals[w] & ~(1 << v)
+        if v:
+            old = seq[w - 1] + seq[v - 1]
+            options = [x for x in PAIRS if x != old and not rival & partners[x[0]]]
+            if not options:
+                options = [x for x in PAIRS if x != old]
+                fallbacks.append(w)
+            new[w], new[v] = rng.choice(options)
+        elif rival:
+            old = seq[w - 1]
+            options = [x for x in BASES if x != old and not rival & partners[x]]
+            if not options:
+                options = [x for x in BASES if x != old]
+                fallbacks.append(w)
+            new[w] = rng.choice(options)
+        else:
             continue
-        old = chars[w] + chars[v]
-        rival_bases = {chars[u] for u in rivals[w] if u != v}
-        options = [x for x in site_values(v)
-                   if x != old and _PARTNERS[x[0]].isdisjoint(rival_bases)]
-        if not options:
-            options = other_values(chars, w, v)
-            fallbacks.append(w)
-        put(new, w, v, rng.choice(options))
         mutated.append(w)
     return MutationOutcome("".join(new), tuple(mutated), tuple(fallbacks))
 
@@ -332,22 +361,28 @@ def adjust_sequence(
 
 # a design walks a few sub-targets, a campaign a few hundred
 @functools.lru_cache(maxsize=1024)
-def _site_order(target_sub: Structure) -> tuple[tuple[int, int], ...]:
-    """The sites of target_sub, unpaired first, each kind in position order."""
-    return tuple(sorted(sites(target_sub), key=_unpaired_first))
+def _site_order(
+    target_sub: Structure,
+) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The sites of target_sub, unpaired first, each kind in position
+    order, each with the bit mask of its ends."""
+    return tuple(((w, v), 1 << w | (v and 1 << v))
+                 for w, v in sorted(sites(target_sub), key=_unpaired_first))
 
 
 def _candidate_sites(
     folded: Structure,
     target_sub: Structure,
-    target_sites: tuple[tuple[int, int], ...],
+    target_sites: tuple[tuple[tuple[int, int], int], ...],
 ) -> list[tuple[int, int]]:
     """The sites of target_sub with an end at or next to a position that
-    folds wrongly, in the order of target_sites, its sites unpaired first."""
-    near = {u for w, (p, q) in enumerate(zip(folded.partner, target_sub.partner))
-            if p != q for u in (w - 1, w, w + 1)}
-    near.discard(0)  # no position, but it would match every unpaired (w, 0)
-    return [site for site in target_sites if not near.isdisjoint(site)]
+    folds wrongly, in the order of target_sites, _site_order's list."""
+    # a position folds wrongly when it ends an arc of one structure only
+    wrong = 0
+    for i, j in set(folded.arcs).symmetric_difference(target_sub.arcs):
+        wrong |= 1 << i | 1 << j
+    near = wrong | wrong << 1 | wrong >> 1
+    return [site for site, ends in target_sites if near & ends]
 
 
 def local_search(
@@ -395,9 +430,7 @@ def local_search(
             for w, v in candidates:
                 if calls >= cap:
                     break
-                chars = site_chars(sub)
-                put(chars, w, v, rng.choice(other_values(chars, w, v)))
-                candidate = "".join(chars)
+                candidate = redraw_site(sub, w, v, rng)
                 refold = oracle.fold(candidate, 1)
                 calls += 1
                 candidate_distance = structure_distance(refold.mfe, target_sub)

@@ -56,8 +56,9 @@ def _require_compatible(seq: str, s: Structure) -> None:
         raise IncompatibleInput("sequence is not compatible with the structure")
 
 
-def _pair_masks(seq: str) -> list[int]:
-    """masks[p]: bit q set when position q can pair with position p (1-based)."""
+def _partner_masks(seq: str) -> dict[str, int]:
+    """masks[x]: bit q set when base x pairs with the base at position q
+    (1-based), as the ordered pair (x, seq[q])."""
     if seq.translate(_DROP_BASES):
         position, char = next((p, c) for p, c in enumerate(seq, 1) if c not in BASES)
         raise IncompatibleInput(
@@ -65,11 +66,15 @@ def _pair_masks(seq: str) -> list[int]:
         )
     # the last digit is position 1; the shift makes bit q position q
     backward = "0" + seq[::-1]
-    partners = {
+    return {
         x: int(backward.translate(table), 2) << 1
         for x, table in _PARTNER_DIGITS.items()
     }
-    return [0, *map(partners.__getitem__, seq)]
+
+
+def _pair_masks(seq: str) -> list[int]:
+    """masks[p]: bit q set when position q can pair with position p (1-based)."""
+    return [0, *map(_partner_masks(seq).__getitem__, seq)]
 
 
 def sites(s: Structure) -> list[tuple[int, int]]:
@@ -99,6 +104,17 @@ def put(chars: list[str], w: int, v: int, value: str) -> None:
     """Write value at the site (w, v) of a site_chars list; slot 0 stays
     empty, as an unpaired site's value has no second half."""
     chars[w], chars[v] = value[0], value[1:]
+
+
+def redraw_site(seq: str, w: int, v: int, rng: Random) -> str:
+    """seq with a new value at the site (w, v): rng.choice over the list
+    other_values gives, written by slicing seq rather than through a
+    site_chars list, so it draws and returns what put and join would."""
+    old = seq[w - 1] + seq[v - 1] if v else seq[w - 1]
+    value = rng.choice([x for x in site_values(v) if x != old])
+    if v:
+        return seq[:w - 1] + value[0] + seq[w:v - 1] + value[1] + seq[v:]
+    return seq[:w - 1] + value + seq[w:]
 
 
 def _unpaired_first(site: tuple[int, int]) -> bool:

@@ -146,6 +146,10 @@ class ValidationPolicy(_PolicyFields):
 
     def __new__(cls, *args, **kwargs) -> "ValidationPolicy":
         self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if not isinstance(value, int):
+                raise TypeError(
+                    f"{name} must be an integer, not {type(value).__name__}")
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if self.sigma < 1:

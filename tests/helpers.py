@@ -531,18 +531,31 @@ def fold_digest(
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def positions_of(mask: int) -> set[int]:
+    """The positions u whose bit 1 << u is set in mask."""
+    return {u for u in range(mask.bit_length()) if mask >> u & 1}
+
+
+def mask_of(positions: Iterable[int]) -> int:
+    """The bit mask with bit 1 << u set for each position u."""
+    return sum(1 << u for u in set(positions))
+
+
 def reference_mutate_against_competitors(
-    seq: str, target: Structure, rivals: list[set[int]] | None, rng: Random
+    seq: str, target: Structure, rivals: list[int] | None, rng: Random
 ) -> MutationOutcome:
     """mutate_against_competitors as a can_pair test per rival position.
 
-    The package filters by the set of rival bases instead; both must draw
-    the same options in the same order, and so the same rng values.
-    Without rivals nothing is redrawn; otherwise every target arc is, and
-    every unpaired position with a rival.
+    rivals are the package's masks, read here as sets of positions.  The
+    package ANDs the rival mask with a mask of the positions each base
+    bonds with instead; both must draw the same options in the same
+    order, and so the same rng values.  Without rivals nothing is
+    redrawn; otherwise every target arc is, and every unpaired position
+    with a rival.
     """
     if rivals is None:
         return MutationOutcome(seq, (), ())
+    rivals = [positions_of(mask) for mask in rivals]
     new = list(seq)
     mutated: list[int] = []
     fallbacks: list[int] = []

@@ -97,5 +97,6 @@ def test_every_cache_is_bounded():
             if callable(getattr(value, "cache_info", None)):
                 caches[name] = value.cache_info().maxsize
     assert {"_stack_arcs", "_pair_table", "_floor_table", "validate_target",
-            "build_intervals", "restrict_structure"} <= set(caches)
+            "build_intervals", "restrict_structure", "_site_order",
+            "_target_sites"} <= set(caches)
     assert [name for name, maxsize in caches.items() if maxsize is None] == []

@@ -15,12 +15,14 @@ from pkinv import (
     Arc,
     SearchConfig,
     Structure,
+    ValidationPolicy,
     build_intervals,
     competitor_census,
     inverse_fold,
     mutate_against_competitors,
     oracle,
     parse_structure,
+    restrict_structure,
     structure_distance,
 )
 from pkinv.oracle import FoldResult, ReferenceFoldOracle, SizeGuard
@@ -32,19 +34,23 @@ from pkinv.search import (
     _candidate_sites,
     _CountingOracle,
     _site_order,
+    _target_sites,
     adjust_sequence,
     build_competitors,
     local_search,
     perturb_arc,
 )
-from pkinv.sequences import (_unpaired_first, can_pair, is_compatible,
-                             random_compatible_sequence, sites)
+from pkinv.sequences import (_unpaired_first, can_pair, is_compatible, other_values,
+                             put, random_compatible_sequence, redraw_site,
+                             site_chars, sites)
 
 from .helpers import (
     ODD_CYCLE_FAMILY,
     PSEUDOKNOT_18,
     SEVEN_CYCLE_42,
     crossing_graph_is_bipartite,
+    mask_of,
+    positions_of,
     random_matching,
     random_sequence,
     random_valid_structure,
@@ -85,9 +91,10 @@ def oracle_perturbations(s: Structure, arc: Arc) -> set:
     return seen
 
 
-def census_of(competitors, target: Structure) -> list[set[int]] | None:
-    """The rivals of explicit competitor structures, position by position;
-    None without competitors."""
+def census_of(competitors, target: Structure) -> list[int] | None:
+    """The rivals of explicit competitor structures, position by position,
+    gathered as sets and handed on as the census' masks; None without
+    competitors."""
     if not competitors:
         return None
     rivals = [set() for _ in range(target.n + 1)]
@@ -95,23 +102,49 @@ def census_of(competitors, target: Structure) -> list[set[int]] | None:
         for w in range(1, target.n + 1):
             if comp.partner[w]:
                 rivals[w].add(comp.partner[w])
-    return rivals
+    return [mask_of(r) for r in rivals]
 
 
-def as_consumed(rivals: list[set[int]] | None, target: Structure):
-    """What mutation reads: the rivals without the target partner."""
+def as_consumed(rivals: list[int] | None, target: Structure):
+    """What mutation reads: the rival sets without the target partner."""
     if rivals is None:
         return None
-    return [r - {target.partner[w]} for w, r in enumerate(rivals)]
+    return [positions_of(r) - {target.partner[w]} for w, r in enumerate(rivals)]
 
 
-def made_up_rivals(rng: random.Random, n: int) -> list[set[int]] | None:
+def made_up_rivals(rng: random.Random, n: int) -> list[int] | None:
     """None now and then, else dense random rivals for positions 0..n,
-    which often leave no option and often miss a site entirely."""
+    drawn as sets and handed on as masks, which often leave no option
+    and often miss a site entirely."""
     if rng.random() < 0.1:
         return None
-    return [set(rng.sample(range(1, n + 1), rng.randint(0, 6)))
+    return [mask_of(rng.sample(range(1, n + 1), rng.randint(0, 6)))
             for _ in range(n + 1)]
+
+
+def site_cache_cases(seed: int) -> list[Structure]:
+    """Random matchings and valid targets of up to 40 positions."""
+    rng = random.Random(seed)
+    cases = [random_matching(rng, rng.randint(0, 40)) for _ in range(150)]
+    return cases + [random_valid_structure(rng, rng.randint(10, 40), max_stacks=6)
+                    for _ in range(150)]
+
+
+def assert_cache_is_bounded(cache, seed: int) -> None:
+    """cache equals its __wrapped__ function over more distinct targets
+    than it holds, and holds no more than its maxsize."""
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    rng = random.Random(seed)
+    targets = set()
+    while len(targets) < maxsize + 3:
+        targets.add(random_matching(rng, rng.randint(0, 40)))
+    targets = sorted(targets)
+    expected = [cache.__wrapped__(t) for t in targets]
+    cache.cache_clear()
+    for _ in range(2):
+        assert [cache(t) for t in targets] == expected
+    assert cache.cache_info().currsize <= maxsize
 
 
 class TestPerturb:
@@ -216,9 +249,50 @@ class TestCensus:
         assert (census is None) == (not any(s.arcs for s in result.structures))
         assert as_consumed(census, target) == as_consumed(expected, target)
 
+    def test_equals_census_of_built_competitors_with_short_arcs(self):
+        # arcs of length 1 and 2 shift onto or past their own other end,
+        # which the census must drop as perturb_arc does
+        rng = random.Random(67)
+        oracle = ReferenceFoldOracle(ValidationPolicy(sigma=1, min_arc_length=1))
+        short = 0
+        for _ in range(150):
+            n = rng.randint(6, 11)
+            seq = random_sequence(rng, n)
+            target = random_matching(rng, n)
+            result = oracle.fold(seq, rng.choice((8, 50)))
+            short += any(j - i <= 2 for s in result.structures for i, j in s.arcs)
+            expected = census_of(build_competitors(seq, result, target), target)
+            assert (as_consumed(competitor_census(seq, result), target)
+                    == as_consumed(expected, target))
+        assert short > 100
+
     def test_open_chain_gives_an_empty_census(self):
         result = ReferenceFoldOracle().fold("AAAAAAAAAA", 1)
         assert competitor_census("AAAAAAAAAA", result) is None
+
+    def test_census_bits_lie_in_one_to_n(self):
+        # shifts reach positions 0 and n + 1, which no arc may end at
+        rng = random.Random(47)
+        oracle = ReferenceFoldOracle()
+        censuses = 0
+        for case in range(300):
+            n = rng.randint(10, 22)
+            if case % 2:
+                target = random_valid_structure(rng, n)
+                seq = random_compatible_sequence(target, rng)
+            else:
+                seq = random_sequence(rng, n)
+            census = competitor_census(seq, oracle.fold(seq, rng.choice((1, 50))))
+            if census is None:
+                continue
+            censuses += 1
+            assert len(census) == n + 1 and census[0] == 0
+            for w, mask in enumerate(census):
+                assert mask >> (n + 1) == 0 and not mask & 1
+                assert not mask >> w & 1  # no position pairs itself
+                for u in positions_of(mask):  # rivals pair both ways
+                    assert census[u] >> w & 1
+        assert censuses > 200
 
 
 class TestMutation:
@@ -274,7 +348,7 @@ class TestMutation:
             for w in out.mutated_positions:
                 if w in out.fallback_positions:
                     continue
-                for u in rivals[w] - {target.partner[w]}:
+                for u in positions_of(rivals[w]) - {target.partner[w]}:
                     assert not can_pair(out.sequence[w - 1], seq[u - 1])
 
     def test_subset_competitor_cannot_be_broken(self):
@@ -459,29 +533,47 @@ class TestLocalSearch:
         assert is_compatible(final, target)
 
     def test_site_order_cache_equals_the_uncached_order(self):
-        rng = random.Random(43)
-        cases = [random_matching(rng, rng.randint(0, 40)) for _ in range(150)]
-        cases += [random_valid_structure(rng, rng.randint(10, 40), max_stacks=6)
-                  for _ in range(150)]
-        for target in cases:
+        for target in site_cache_cases(43):
             expected = _site_order.__wrapped__(target)
-            assert expected == tuple(sorted(sites(target), key=_unpaired_first))
+            ordered = sorted(sites(target), key=_unpaired_first)
+            assert expected == tuple((site, mask_of(u for u in site if u))
+                                     for site in ordered)
             for _ in range(2):  # the second call hits
                 assert _site_order(target) == expected
 
+    def test_target_site_cache_equals_the_uncached_sites(self):
+        for target in site_cache_cases(53):
+            expected = _target_sites.__wrapped__(target)
+            assert expected == tuple(sites(target))
+            for _ in range(2):  # the second call hits
+                assert _target_sites(target) == expected
+
+    def test_target_site_cache_is_bounded(self):
+        assert_cache_is_bounded(_target_sites, 59)
+
+    def test_sliced_candidate_equals_the_site_chars_one(self):
+        # local_search writes each candidate into its window by slicing;
+        # the draw and the sequence must be those of put and join
+        rng = random.Random(61)
+        redrawn = 0
+        for _ in range(200):
+            target = random_valid_structure(rng, rng.randint(10, 26))
+            seq = random_compatible_sequence(target, rng)
+            lo = rng.randint(1, target.n)
+            hi = rng.randint(lo, target.n)
+            sub = seq[lo - 1:hi]
+            for w, v in sites(restrict_structure(target, lo, hi)):
+                seed = rng.getrandbits(32)
+                ours, theirs = random.Random(seed), random.Random(seed)
+                chars = site_chars(sub)
+                put(chars, w, v, theirs.choice(other_values(chars, w, v)))
+                assert redraw_site(sub, w, v, ours) == "".join(chars)
+                assert ours.getstate() == theirs.getstate()
+                redrawn += 1
+        assert redrawn > 500
+
     def test_site_order_cache_is_bounded(self):
-        maxsize = _site_order.cache_info().maxsize
-        assert maxsize is not None
-        rng = random.Random(31)
-        targets = set()
-        while len(targets) < maxsize + 3:
-            targets.add(random_matching(rng, rng.randint(0, 40)))
-        targets = sorted(targets)
-        expected = [_site_order.__wrapped__(t) for t in targets]
-        _site_order.cache_clear()
-        for _ in range(2):
-            assert [_site_order(t) for t in targets] == expected
-        assert _site_order.cache_info().currsize <= maxsize
+        assert_cache_is_bounded(_site_order, 31)
 
     def test_candidate_sites_equal_the_reference(self):
         rng = random.Random(37)
@@ -498,8 +590,7 @@ class TestLocalSearch:
                 folded = random_matching(rng, target.n)
             expected = [(*where, 0) if kind == "u" else where
                         for kind, where in reference_flagged_candidates(folded, target)]
-            ordered = sorted(sites(target), key=_unpaired_first)
-            assert _candidate_sites(folded, target, ordered) == expected
+            assert _candidate_sites(folded, target, _site_order(target)) == expected
 
 
 class TestInverseFold:

@@ -290,6 +290,16 @@ class TestValidate:
         with pytest.raises(ValueError, match="^min_arc_length must be at least 1$"):
             ValidationPolicy(min_arc_length=0)
 
+    @pytest.mark.parametrize("field", ["k", "sigma", "min_arc_length"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, "3", None])
+    def test_non_integer_field_is_refused_up_front(self, field, value):
+        # rather than inside a fold, which indexes and shifts by the fields
+        expected = f"^{field} must be an integer, not {type(value).__name__}$"
+        with pytest.raises(TypeError, match=expected):
+            ValidationPolicy(**{field: value})
+        with pytest.raises(TypeError, match=expected):
+            ValidationPolicy()._replace(**{field: value})
+
     def test_replace_validates_the_policy(self):
         with pytest.raises(ValueError, match="^k must be at least 2$"):
             ValidationPolicy()._replace(k=1)
