@@ -16,10 +16,10 @@ from random import Random
 from typing import ClassVar, Iterable, NamedTuple
 
 from .loops import IntervalPlan, build_intervals
-from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard
-from .sequences import (BASES, PAIRS, _pair_masks, _partner_masks, _unpaired_first,
-                        can_pair, random_compatible_sequence, redraw_site,
-                        site_chars, sites)
+from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard, _require_n_best
+from .sequences import (_pair_masks, _partner_masks, _unpaired_first, can_pair,
+                        other_values, put, random_compatible_sequence, redraw_site,
+                        sites)
 from .structure import (
     Arc,
     Structure,
@@ -81,11 +81,7 @@ class SearchConfig(_ConfigFields):
 
     def __new__(cls, *args, **kwargs) -> "SearchConfig":
         self = super().__new__(cls, *args, **kwargs)
-        if not isinstance(self.n_best, int):
-            raise TypeError(
-                f"n_best must be an integer, not {type(self.n_best).__name__}")
-        if self.n_best < 1:
-            raise ValueError("n_best must be positive")
+        _require_n_best(self.n_best)
         return self
 
     @classmethod
@@ -246,13 +242,6 @@ def competitor_census(seq: str, fold_result: FoldResult) -> list[int] | None:
     return rivals
 
 
-# a design mutates against one target, a campaign against a few dozen
-@functools.lru_cache(maxsize=1024)
-def _target_sites(target: Structure) -> tuple[tuple[int, int], ...]:
-    """The sites of target in position order, as a tuple."""
-    return tuple(sites(target))
-
-
 def mutate_against_competitors(
     seq: str, target: Structure, rivals: list[int] | None, rng: Random
 ) -> MutationOutcome:
@@ -268,35 +257,27 @@ def mutate_against_competitors(
     & partners[x] is 0, where bit u of partners[x] says that x pairs
     with the base at u.  Constraints always compare against the
     pre-mutation sequence.  When no value satisfies them the site is
-    redrawn unconstrained and is recorded as a fallback.  The target's
-    sites come from a tuple kept per target (_target_sites, an LRU of
-    1,024), since each round mutates the same target up to
+    redrawn among all its other values and is recorded as a fallback.
+    Arcs and unpaired sites take the one path: the values come from
+    sequences.other_values, and the sites from sequences.sites, a tuple
+    cached per target, as each round mutates the same target up to
     mutation_retries times.
     """
     if rivals is None:
         return MutationOutcome(seq, (), ())
     partners = _partner_masks(seq)
-    new = site_chars(seq)
+    new = ["", *seq]
     mutated: list[int] = []
     fallbacks: list[int] = []
-    for w, v in _target_sites(target):
+    for w, v in sites(target):
         rival = rivals[w] & ~(1 << v)
-        if v:
-            old = seq[w - 1] + seq[v - 1]
-            options = [x for x in PAIRS if x != old and not rival & partners[x[0]]]
-            if not options:
-                options = [x for x in PAIRS if x != old]
-                fallbacks.append(w)
-            new[w], new[v] = rng.choice(options)
-        elif rival:
-            old = seq[w - 1]
-            options = [x for x in BASES if x != old and not rival & partners[x]]
-            if not options:
-                options = [x for x in BASES if x != old]
-                fallbacks.append(w)
-            new[w] = rng.choice(options)
-        else:
+        if not (v or rival):
             continue
+        options = other_values(seq, w, v)
+        kept = [x for x in options if not rival & partners[x[0]]]
+        if not kept:
+            fallbacks.append(w)
+        put(new, w, v, rng.choice(kept or options))
         mutated.append(w)
     return MutationOutcome("".join(new), tuple(mutated), tuple(fallbacks))
 

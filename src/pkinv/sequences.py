@@ -16,6 +16,7 @@ here; insertions and deletions are out of scope.
 
 from __future__ import annotations
 
+import functools
 from random import Random
 
 from .structure import LengthMismatch, Structure
@@ -77,10 +78,12 @@ def _pair_masks(seq: str) -> list[int]:
     return [0, *map(_partner_masks(seq).__getitem__, seq)]
 
 
-def sites(s: Structure) -> list[tuple[int, int]]:
+# a design walks one target and its sub-targets, a campaign a few dozen
+@functools.lru_cache(maxsize=1024)
+def sites(s: Structure) -> tuple[tuple[int, int], ...]:
     """The sites of s in position order: (w, 0) for an unpaired w, and
     (i, j) once per arc, at its left end."""
-    return [(w, v) for w, v in enumerate(s.partner) if w and not 0 < v < w]
+    return tuple((w, v) for w, v in enumerate(s.partner) if w and not 0 < v < w)
 
 
 def site_values(v: int) -> str | tuple[str, ...]:
@@ -88,33 +91,35 @@ def site_values(v: int) -> str | tuple[str, ...]:
     return PAIRS if v else BASES
 
 
-def site_chars(seq: str) -> list[str]:
-    """seq by position, with an empty slot 0 as in a partner vector, so
-    that chars[w] + chars[v] is the value of any site (w, v)."""
-    return ["", *seq]
+def site_value(seq: str, w: int, v: int) -> str:
+    """The value seq holds at the site (w, v)."""
+    return seq[w - 1] + seq[v - 1] if v else seq[w - 1]
 
 
-def other_values(chars: list[str], w: int, v: int) -> list[str]:
-    """The values of the site (w, v) that chars does not hold, in order."""
-    old = chars[w] + chars[v]
+def other_values(seq: str, w: int, v: int) -> list[str]:
+    """The values of the site (w, v) that seq does not hold, in order."""
+    old = site_value(seq, w, v)
     return [value for value in site_values(v) if value != old]
 
 
 def put(chars: list[str], w: int, v: int, value: str) -> None:
-    """Write value at the site (w, v) of a site_chars list; slot 0 stays
-    empty, as an unpaired site's value has no second half."""
+    """Write value at the site (w, v) of chars, a list holding position p
+    at index p and an empty slot 0, which takes an unpaired site's empty
+    second half."""
     chars[w], chars[v] = value[0], value[1:]
 
 
-def redraw_site(seq: str, w: int, v: int, rng: Random) -> str:
-    """seq with a new value at the site (w, v): rng.choice over the list
-    other_values gives, written by slicing seq rather than through a
-    site_chars list, so it draws and returns what put and join would."""
-    old = seq[w - 1] + seq[v - 1] if v else seq[w - 1]
-    value = rng.choice([x for x in site_values(v) if x != old])
+def with_value(seq: str, w: int, v: int, value: str) -> str:
+    """seq with value at the site (w, v), written by slicing."""
     if v:
         return seq[:w - 1] + value[0] + seq[w:v - 1] + value[1] + seq[v:]
     return seq[:w - 1] + value + seq[w:]
+
+
+def redraw_site(seq: str, w: int, v: int, rng: Random) -> str:
+    """seq with a new value at the site (w, v), drawn by rng.choice over
+    the list other_values gives."""
+    return with_value(seq, w, v, rng.choice(other_values(seq, w, v)))
 
 
 def _unpaired_first(site: tuple[int, int]) -> bool:
@@ -141,14 +146,9 @@ def compatible_neighbors(seq: str, s: Structure) -> list[str]:
     3 * n_u + 5 * n_p.
     """
     _require_compatible(seq, s)
-    chars = site_chars(seq)
-    out: list[str] = []
-    for w, v in sorted(sites(s), key=_unpaired_first):
-        for value in other_values(chars, w, v):
-            neighbor = chars.copy()
-            put(neighbor, w, v, value)
-            out.append("".join(neighbor))
-    return out
+    return [with_value(seq, w, v, value)
+            for w, v in sorted(sites(s), key=_unpaired_first)
+            for value in other_values(seq, w, v)]
 
 
 def compatible_distance(seq_a: str, seq_b: str, s: Structure) -> int:
@@ -159,5 +159,4 @@ def compatible_distance(seq_a: str, seq_b: str, s: Structure) -> int:
         raise LengthMismatch("sequences have different lengths")
     _require_compatible(seq_a, s)
     _require_compatible(seq_b, s)
-    a, b = site_chars(seq_a), site_chars(seq_b)
-    return sum(a[w] + a[v] != b[w] + b[v] for w, v in sites(s))
+    return sum(site_value(seq_a, w, v) != site_value(seq_b, w, v) for w, v in sites(s))

@@ -98,5 +98,16 @@ def test_every_cache_is_bounded():
                 caches[name] = value.cache_info().maxsize
     assert {"_stack_arcs", "_pair_table", "_floor_table", "validate_target",
             "build_intervals", "restrict_structure", "_site_order",
-            "_target_sites"} <= set(caches)
+            "sites"} <= set(caches)
     assert [name for name, maxsize in caches.items() if maxsize is None] == []
+
+
+def test_no_invariant_is_left_to_assert():
+    # python -O strips assert statements, so an invariant is raised as an
+    # exception instead
+    sources = sorted(Path(pkinv.__file__).parent.glob("*.py"))
+    assert len(sources) == 7
+    for source in sources:
+        tree = ast.parse(source.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], (source.name, lines)

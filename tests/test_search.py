@@ -34,15 +34,13 @@ from pkinv.search import (
     _candidate_sites,
     _CountingOracle,
     _site_order,
-    _target_sites,
     adjust_sequence,
     build_competitors,
     local_search,
     perturb_arc,
 )
-from pkinv.sequences import (_unpaired_first, can_pair, is_compatible, other_values,
-                             put, random_compatible_sequence, redraw_site,
-                             site_chars, sites)
+from pkinv.sequences import (BASES, PAIRS, _unpaired_first, can_pair, is_compatible,
+                             random_compatible_sequence, redraw_site, sites)
 
 from .helpers import (
     ODD_CYCLE_FAMILY,
@@ -385,11 +383,11 @@ class TestMutation:
 
 class TestSearchConfig:
     def test_n_best_must_be_positive(self):
-        with pytest.raises(ValueError, match="^n_best must be positive$"):
+        with pytest.raises(ValueError, match="^n_best must be at least 1$"):
             SearchConfig(n_best=0)
 
     def test_replace_validates_the_config(self):
-        with pytest.raises(ValueError, match="^n_best must be positive$"):
+        with pytest.raises(ValueError, match="^n_best must be at least 1$"):
             SearchConfig()._replace(n_best=0)
         assert SearchConfig()._replace(rng_seed=4) == SearchConfig(rng_seed=4)
 
@@ -543,17 +541,20 @@ class TestLocalSearch:
 
     def test_target_site_cache_equals_the_uncached_sites(self):
         for target in site_cache_cases(53):
-            expected = _target_sites.__wrapped__(target)
-            assert expected == tuple(sites(target))
+            expected = sites.__wrapped__(target)
+            unpaired = [(w, 0) for w in range(1, target.n + 1) if not target.partner[w]]
+            assert expected == tuple(sorted(unpaired + list(target.arcs)))
+            assert isinstance(expected, tuple)
             for _ in range(2):  # the second call hits
-                assert _target_sites(target) == expected
+                assert sites(target) == expected
 
     def test_target_site_cache_is_bounded(self):
-        assert_cache_is_bounded(_target_sites, 59)
+        assert_cache_is_bounded(sites, 59)
 
     def test_sliced_candidate_equals_the_site_chars_one(self):
         # local_search writes each candidate into its window by slicing;
-        # the draw and the sequence must be those of put and join
+        # the draw and the sequence must be those of a choice over the
+        # other values and a write into a list of the window's characters
         rng = random.Random(61)
         redrawn = 0
         for _ in range(200):
@@ -565,8 +566,11 @@ class TestLocalSearch:
             for w, v in sites(restrict_structure(target, lo, hi)):
                 seed = rng.getrandbits(32)
                 ours, theirs = random.Random(seed), random.Random(seed)
-                chars = site_chars(sub)
-                put(chars, w, v, theirs.choice(other_values(chars, w, v)))
+                chars = ["", *sub]  # slot 0 takes an unpaired site's empty half
+                old = chars[w] + chars[v]
+                values = PAIRS if v else BASES
+                value = theirs.choice([x for x in values if x != old])
+                chars[w], chars[v] = value[0], value[1:]
                 assert redraw_site(sub, w, v, ours) == "".join(chars)
                 assert ours.getstate() == theirs.getstate()
                 redrawn += 1
@@ -648,12 +652,12 @@ class TestInverseFold:
 
     def test_trials_of_one_target_derive_its_views_once(self):
         # every trial parses the target anew, and an equal Structure hits
-        # the caches: the target is validated and laddered once, and each
-        # distinct interval cut once
+        # the caches: the target is validated, laddered and listed by site
+        # once, and each distinct interval cut once
         text = "::(((::[[[::)))::]]]::"
         cached = (pkinv.search.validate_target, pkinv.search.build_intervals,
                   pkinv.search.restrict_structure)
-        for function in cached:
+        for function in (*cached, pkinv.search.sites, _site_order):
             function.cache_clear()
         oracle = ReferenceFoldOracle()
         walked = 0
@@ -667,6 +671,15 @@ class TestInverseFold:
         assert walked == 5 and len(intervals) == 7
         assert restricted.misses == len(set(intervals)) == 6
         assert restricted.hits + restricted.misses == walked * len(intervals)
+        # the start and every mutation read the full target's sites, and
+        # _site_order each distinct sub-target's, so each structure, the
+        # full target included, misses sites once in five trials
+        target = parse_structure(text)
+        subs = {restrict_structure(target, lo, hi) for lo, hi in intervals}
+        assert _site_order.cache_info().misses == len(subs)
+        listed = pkinv.search.sites.cache_info()
+        assert listed.misses == len(subs | {target}) == 4
+        assert listed.hits >= 4
 
     def test_reproducible_from_seed(self):
         first = inverse_fold(
