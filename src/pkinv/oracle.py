@@ -40,6 +40,7 @@ from .structure import (
     _has_clique,
     _stack_arcs,
     _stack_masks,
+    stacks,
 )
 
 # Candidate stacks one fold may list: above the 825 of every structure
@@ -174,14 +175,22 @@ class FoldResult(NamedTuple):
 def energy_of(
     seq: str, s: Structure, model: EnergyModel = DEFAULT_MODEL
 ) -> float:
-    """Sum of pair scores over arcs plus loop penalties over the loop census."""
+    """Sum of pair scores over arcs plus loop penalties over the loop census.
+
+    The pair scores add as fold adds them: each maximal stack's from 0.0,
+    outermost arc first, and those stack totals from 0.0 in stack order.
+    Under integral pair scores every order adds alike; under others this
+    one can round apart from a plain left-to-right sum over the arcs, and
+    the builtin sum compensates its rounding from Python 3.12 on.
+    """
     _require_compatible(seq, s)
     pair = _pair_table(model)
-    # from 0.0, left to right in sorted arc order, as fold adds them: the
-    # builtin sum compensates its rounding from Python 3.12 on
     total = 0.0
-    for i, j in s.arcs:
-        total += pair[seq[i - 1]][seq[j - 1]]
+    for i, j, size in stacks(s):
+        stack = 0.0
+        for t in range(size):
+            stack += pair[seq[i + t - 1]][seq[j - t - 1]]
+        total += stack
     return total + model.loop_energy(loop_census(s))
 
 
@@ -203,17 +212,18 @@ def _candidate_stacks(
     masks: list[int],
     seq: str,
     pair: Mapping[str, Mapping[str, float]],
-) -> tuple[list[tuple[int, int, int]], list[tuple[float, ...]]]:
+) -> tuple[list[tuple[int, int, int]], list[float]]:
     """Stacks (i, j, size) with size >= sigma whose arcs all pair, and the
-    score tuple of each: pair[x][y] of its arcs, outermost first, for x
-    and y the bases seq gives their ends.
+    pair-score total of each: pair[x][y] of its arcs added from 0.0,
+    outermost first, for x and y the bases seq gives their ends.
 
     Bit q of masks[p] says that positions p and q can pair (1-based).  Each
     stack's innermost arc keeps the minimum arc length (never below 2, the
     adjacent-pair bound).  The stacks come out sorted by (i, j, size):
     for each i the run mask of every size is collected first, then each
-    end j is walked upward through its sizes, and each score tuple after
-    the first of an outer arc is the one before it plus one arc.
+    end j is walked upward through its sizes, and each total after the
+    first of an outer arc is the one before it plus one arc's score, the
+    same float a fresh sum over the stack would give.
     SizeGuard refuses more than MAX_CANDIDATES stacks before any is
     built on.
     """
@@ -221,7 +231,7 @@ def _candidate_stacks(
     lmin = max(policy.min_arc_length, 2)
     sigma = policy.sigma
     out: list[tuple[int, int, int]] = []
-    scores: list[tuple[float, ...]] = []
+    totals: list[float] = []
     for i in range(1, len(masks)):
         # bit j of runs[size - 1]: the arcs (i, j), ..., (i + size - 1,
         # j - size + 1) pair; each run lies inside the one before it
@@ -243,29 +253,30 @@ def _candidate_stacks(
             low = ends & -ends
             ends ^= low
             j = low.bit_length() - 1
-            # tuple(list) builds short tuples faster than tuple(generator)
-            head = tuple([pair[seq[i + t - 1]][seq[j - t - 1]] for t in range(sigma)])
+            head = 0.0
+            for t in range(sigma):
+                head += pair[seq[i + t - 1]][seq[j - t - 1]]
             out.append((i, j, sigma))
-            scores.append(head)
+            totals.append(head)
             size = sigma
             while size < len(runs) and runs[size] & low:
-                head += (pair[seq[i + size - 1]][seq[j - size - 1]],)
+                head += pair[seq[i + size - 1]][seq[j - size - 1]]
                 size += 1
                 out.append((i, j, size))
-                scores.append(head)
+                totals.append(head)
         if len(out) > cap:
             raise SizeGuard(
                 f"more than {cap} candidate stacks at length "
                 f"{len(masks) - 1}; the cap bounds the width of "
                 f"every structure mask")
-    return out, scores
+    return out, totals
 
 
 def _stack_sets(
     n: int,
     policy: ValidationPolicy,
     candidates: list[tuple[int, int, int]],
-    scores: list[tuple[float, ...]],
+    totals: list[float],
 ) -> tuple[list[float], list[int], list[int], list[int], list[int]]:
     """Every valid structure built from the candidate stacks, each exactly once.
 
@@ -275,10 +286,11 @@ def _stack_sets(
     from forming one longer run makes the stack decomposition canonical,
     so no arc set appears twice; the crossing bound rejects any policy.k
     mutually crossing stacks.  Each structure comes with its pair-score
-    sum: the scores[c] of its candidates c, added in sorted arc order,
-    and its shape, 2 * free + knotted for _loop_floor: free counts its
-    stacks that cross none of its stacks, and knotted is 1 when any two
-    of them cross.  The candidates' crossing and inside masks come back
+    sum: the totals[c] of its candidates c added from 0.0 in candidate
+    order, which is its stack order, since its candidates are exactly its
+    maximal stacks; and its shape, 2 * free + knotted for _loop_floor:
+    free counts its stacks that cross none of its stacks, and knotted is
+    1 when any two of them cross.  The candidates' crossing and inside masks come back
     too.
 
     All masks come from one pass over positions (structure._stack_masks)
@@ -325,9 +337,7 @@ def _stack_sets(
             else:
                 child_free = free | low
                 child_shape = shape + 2
-            extended = total
-            for score in scores[c]:
-                extended += score
+            extended = total + totals[c]
             child = chosen | low
             sums.append(extended)
             sets.append(child)
@@ -427,11 +437,14 @@ def fold(
     - with at most n_best structures every one is returned, so all are
       scored with no floor, bound or sort, which could skip none;
     - the candidate stacks are emitted already in (i, j, size) order,
-      each with its score tuple, so they are neither sorted nor walked a
-      second time;
-    - a score tuple extends the previous candidate's when both share an
-      outer arc, holding the same values in the same order, so every
-      sum adds alike;
+      each with its pair-score total, so they are neither sorted nor
+      walked a second time, and a row adds one float per stack;
+    - a total extends the previous candidate's when both share an outer
+      arc, adding the same values in the same order as a fresh sum, so
+      every total adds alike.  A row's sum adds its stacks' totals in
+      stack order, as energy_of does; under integral pair scores, as in
+      the default model, that equals the sum in sorted arc order, and
+      under others it can round apart from it;
     - a structure none of whose stacks cross skips the pseudoknot
       grouping, since without a crossing no pseudoknot forms.
     """
@@ -446,10 +459,10 @@ def _rows(seq: str, policy: ValidationPolicy, model: EnergyModel) -> tuple:
     their sizes, each row's pair-score sum, stack set and shape, and the
     candidates' crossing and inside masks.
     """
-    candidates, scores = _candidate_stacks(
+    candidates, totals = _candidate_stacks(
         policy, _pair_masks(seq), seq, _pair_table(model))
     n = len(seq)
-    sums, sets, shapes, crossing, inside = _stack_sets(n, policy, candidates, scores)
+    sums, sets, shapes, crossing, inside = _stack_sets(n, policy, candidates, totals)
     sizes = [size for _, _, size in candidates]
     return n, candidates, sizes, sums, sets, shapes, crossing, inside
 

@@ -32,6 +32,13 @@ _PARTNER_DIGITS = {
     for x, ys in _PARTNERS.items()
 }
 _DROP_BASES = str.maketrans("", "", BASES)
+# per value a site can hold, the site's other values in order: each
+# base at an unpaired site, and each two bases at an arc, pairs or not,
+# since a sub-target's window can hold a non-pair at one of its arcs
+_OTHER_VALUES = {
+    **{x: tuple([y for y in BASES if y != x]) for x in BASES},
+    **{x + y: tuple([p for p in PAIRS if p != x + y]) for x in BASES for y in BASES},
+}
 
 
 class IncompatibleInput(ValueError):
@@ -96,10 +103,9 @@ def site_value(seq: str, w: int, v: int) -> str:
     return seq[w - 1] + seq[v - 1] if v else seq[w - 1]
 
 
-def other_values(seq: str, w: int, v: int) -> list[str]:
+def other_values(seq: str, w: int, v: int) -> tuple[str, ...]:
     """The values of the site (w, v) that seq does not hold, in order."""
-    old = site_value(seq, w, v)
-    return [value for value in site_values(v) if value != old]
+    return _OTHER_VALUES[site_value(seq, w, v)]
 
 
 def put(chars: list[str], w: int, v: int, value: str) -> None:
@@ -118,7 +124,7 @@ def with_value(seq: str, w: int, v: int, value: str) -> str:
 
 def redraw_site(seq: str, w: int, v: int, rng: Random) -> str:
     """seq with a new value at the site (w, v), drawn by rng.choice over
-    the list other_values gives."""
+    the tuple other_values gives."""
     return with_value(seq, w, v, rng.choice(other_values(seq, w, v)))
 
 

@@ -58,7 +58,7 @@ FRACTIONAL_MODEL = EnergyModel(
 
 def unconstrained_candidates(n, policy):
     """The oracle's candidate stacks when every position pairs with every
-    other, each pair scoring 0, and their score tuples."""
+    other, each pair scoring 0, and their pair-score totals."""
     return oracle._candidate_stacks(
         policy, [(1 << (n + 1)) - 2] * (n + 1), "N" * n, {"N": {"N": 0.0}})
 
@@ -69,8 +69,8 @@ def enumerate_structures(n, policy=None):
     if n < 0:
         raise ValueError("length must be nonnegative")
     policy = policy or ValidationPolicy()
-    candidates, scores = unconstrained_candidates(n, policy)
-    _, sets, _, _, _ = oracle._stack_sets(n, policy, candidates, scores)
+    candidates, totals = unconstrained_candidates(n, policy)
+    _, sets, _, _, _ = oracle._stack_sets(n, policy, candidates, totals)
     for arcs in sorted(
         tuple(a for c in _members(chosen) for a in _stack_arcs(*candidates[c]))
         for chosen in sets
@@ -202,7 +202,7 @@ class TestCandidateStacks:
         total = 0
         for seq in seeded_sequences(41, 200, 4, 40):
             n = len(seq)
-            candidates, scores = oracle._candidate_stacks(
+            candidates, totals = oracle._candidate_stacks(
                 policy, _pair_masks(seq), seq, pair)
             # every stack whose arcs all pair, its inner arc long enough,
             # listed in (i, j, size) order
@@ -215,10 +215,14 @@ class TestCandidateStacks:
                 and all(can_pair(seq[i + t - 1], seq[j - t - 1]) for t in range(size))
             ]
             assert candidates == expected == sorted(candidates)
-            assert scores == [
-                tuple(pair[seq[i + t - 1]][seq[j - t - 1]] for t in range(size))
-                for i, j, size in candidates
-            ]
+            # each stack's pair scores added from 0.0, outermost arc first
+            expected_totals = []
+            for i, j, size in candidates:
+                stack = 0.0
+                for t in range(size):
+                    stack += pair[seq[i + t - 1]][seq[j - t - 1]]
+                expected_totals.append(stack)
+            assert totals == expected_totals
             total += len(candidates)
         assert total >= 2500  # 2,989 under the default policy
 
@@ -301,18 +305,25 @@ class TestEnergy:
         with pytest.raises(ValueError, match="'pair.GC' given twice"):
             EnergyModel.from_file(path)
 
-    def test_pair_scores_add_in_sorted_arc_order(self):
-        # fold adds a structure's pair scores from 0.0, left to right in
-        # sorted arc order; energy_of must add them alike, not by a
-        # compensated sum such as the builtin sum's from Python 3.12 on
-        seq = "UUAGUUGUGCCGCA"
-        s = parse_structure(":::::(((:::)))")
+    def test_pair_scores_add_in_stack_order(self):
+        # fold adds each maximal stack's pair scores from 0.0, outermost
+        # arc first, and the stack totals from 0.0 in stack order;
+        # energy_of must add them alike, not left to right in sorted arc
+        # order
+        seq = "AUCAGUUAAAUGGCAGAAAACU"
+        s = parse_structure(":((([[[:::))):::::]]]:")
         pair = dict(FRACTIONAL_MODEL.pair_scores)
-        scores = [pair[seq[i - 1] + seq[j - 1]] for i, j in s.arcs]
         total = 0.0
-        for score in scores:
-            total += score
-        assert total != math.fsum(scores)  # the two orders round apart here
+        for i, j, size in stacks(s):
+            stack = 0.0
+            for t in range(size):
+                stack += pair[seq[i + t - 1] + seq[j - t - 1]]
+            total += stack
+        arc_order = 0.0
+        for i, j in s.arcs:
+            arc_order += pair[seq[i - 1] + seq[j - 1]]
+        assert len(stacks(s)) == 2
+        assert (total, arc_order) == (-13.6, -13.599999999999998)  # they round apart
         expected = total + FRACTIONAL_MODEL.loop_energy(loop_census(s))
         assert energy_of(seq, s, FRACTIONAL_MODEL) == expected
         result = fold(seq, 1, model=FRACTIONAL_MODEL)
@@ -450,7 +461,7 @@ class TestFold:
         (CENSUS_MODEL,
          "3047cdba18132adc115e530761c9b6fc386e92601e4958599cb863f3e3dfc676"),
         (FRACTIONAL_MODEL,
-         "479bd07898750698ef6a268b61eba586948703dd881e77391f5cb13aaae26942"),
+         "e15d83f8af8a55a501f92b40cb042e721bebc4a76b0a65ba99f5251a81f9d1ab"),
         (EnergyModel(pseudoknot=0.5),  # a pseudoknot cheaper than a hairpin
          "5a81416b049f58626bf12536a11df2a086693f572f7f5d2ef7b07dc1a24b5c2a"),
     ], ids=["census", "fractional", "cheap-pseudoknot"])

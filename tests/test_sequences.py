@@ -19,7 +19,14 @@ from pkinv import (
     parse_structure,
     random_compatible_sequence,
 )
-from pkinv.sequences import PAIRS, IncompatibleInput, sites
+from pkinv.sequences import (
+    BASES,
+    PAIRS,
+    IncompatibleInput,
+    other_values,
+    site_values,
+    sites,
+)
 from pkinv.structure import LengthMismatch
 
 from .helpers import random_matching, random_valid_structure
@@ -80,6 +87,16 @@ class TestSites:
             assert [(w, v) for w, v in found if v] == list(s.arcs)
             assert all(v == s.partner[w] for w, v in found)
             assert [w for w, _ in found] == sorted(w for w, _ in found)
+
+    def test_other_values_equal_the_values_listed_without_the_old_one(self):
+        # every base at an unpaired site and every two bases at an arc,
+        # non-pairs included, against the values filtered per call
+        for x in BASES:
+            for old, v in ((x, 0), *((x + y, 3) for y in BASES)):
+                seq = old[0] + "A" + old[1:]
+                expected = [value for value in site_values(v) if value != old]
+                values = other_values(seq, 1, v)
+                assert type(values) is tuple and list(values) == expected
 
 
 class TestMakeStart:
