@@ -18,8 +18,8 @@ from typing import ClassVar, Iterable, NamedTuple
 from .loops import IntervalPlan, build_intervals
 from .oracle import FoldResult, ReferenceFoldOracle, SizeGuard, _require_n_best
 from .sequences import (_pair_masks, _partner_masks, _unpaired_first, can_pair,
-                        other_values, put, random_compatible_sequence, redraw_site,
-                        sites)
+                        other_values, put_tracking, random_compatible_sequence,
+                        redraw_site, sites)
 from .structure import (
     Arc,
     Structure,
@@ -251,17 +251,23 @@ def mutate_against_competitors(
     rivals is competitor_census' list of masks: bit u of rivals[w] says
     that some competitor pairs w with u.  The redrawn sites are those
     with an end that some competitor pairs differently from the target,
-    since some competitor unpairs every position.  A site (w, v) gets a
-    new value whose start-side base x bonds with no rival of w, an
-    arc's own partner v excepted: x is kept when rivals[w] & ~(1 << v)
-    & partners[x] is 0, where bit u of partners[x] says that x pairs
-    with the base at u.  Constraints always compare against the
-    pre-mutation sequence.  When no value satisfies them the site is
-    redrawn among all its other values and is recorded as a fallback.
-    Arcs and unpaired sites take the one path: the values come from
-    sequences.other_values, and the sites from sequences.sites, a tuple
-    cached per target, as each round mutates the same target up to
-    mutation_retries times.
+    since some competitor unpairs every position.  Sites are redrawn in
+    the order of sequences.sites, each against the sequence as it is
+    being built: bit u of partners[x] says that base x pairs with the
+    base now at u, and sequences.put_tracking keeps these masks current
+    as each site is written.  A site (w, v) keeps a value whose base x
+    at w and, at an arc, whose base y at v bond with no rival of their
+    position, the site's other end excepted: rivals[w] & ~(1 << v) &
+    partners[x] and rivals[v] & ~(1 << w) & partners[y] are both 0.
+    The census is symmetric, so each site is checked against the sites
+    written before it and later sites against it: a pass with no
+    fallback leaves no rival pairing that can pair.  When no value
+    qualifies the site is redrawn among all its other values and is
+    recorded as a fallback.  Arcs and unpaired sites take the one path,
+    an unpaired value x reading x[-1] as x against no rival: the values
+    come from sequences.other_values, and the sites from
+    sequences.sites, a tuple cached per target, as each round mutates
+    the same target up to mutation_retries times.
     """
     if rivals is None:
         return MutationOutcome(seq, (), ())
@@ -273,11 +279,13 @@ def mutate_against_competitors(
         rival = rivals[w] & ~(1 << v)
         if not (v or rival):
             continue
+        rival_v = v and rivals[v] & ~(1 << w)
         options = other_values(seq, w, v)
-        kept = [x for x in options if not rival & partners[x[0]]]
+        kept = [x for x in options
+                if not (rival & partners[x[0]] or rival_v & partners[x[-1]])]
         if not kept:
             fallbacks.append(w)
-        put(new, w, v, rng.choice(kept or options))
+        put_tracking(new, partners, w, v, rng.choice(kept or options))
         mutated.append(w)
     return MutationOutcome("".join(new), tuple(mutated), tuple(fallbacks))
 

@@ -23,7 +23,9 @@ from .structure import LengthMismatch, Structure
 
 BASES = "ACGU"
 PAIRS = ("AU", "CG", "GC", "GU", "UA", "UG")
-# per base x, the bases y that x pairs with as the ordered pair (x, y)
+# per base x, the bases y that x pairs with as the ordered pair (x, y);
+# PAIRS holds each pair both ways, so these are also the bases pairing
+# with x
 _PARTNERS = {x: frozenset(p[1] for p in PAIRS if p[0] == x) for x in BASES}
 # per base x, the table writing the bases that pair with x as binary
 # digit 1 and the others as 0
@@ -113,6 +115,20 @@ def put(chars: list[str], w: int, v: int, value: str) -> None:
     at index p and an empty slot 0, which takes an unpaired site's empty
     second half."""
     chars[w], chars[v] = value[0], value[1:]
+
+
+def put_tracking(chars: list[str], partners: dict[str, int], w: int, v: int,
+                 value: str) -> None:
+    """put, keeping partners, the _partner_masks of chars, current: a
+    base y written over o at p clears bit p for every base that pairs
+    with o and sets it for every base that pairs with y."""
+    for p, y in zip((w, v), value):
+        bit = 1 << p
+        for x in _PARTNERS[chars[p]]:
+            partners[x] &= ~bit
+        for x in _PARTNERS[y]:
+            partners[x] |= bit
+    put(chars, w, v, value)
 
 
 def with_value(seq: str, w: int, v: int, value: str) -> str:

@@ -546,17 +546,25 @@ def reference_mutate_against_competitors(
 ) -> MutationOutcome:
     """mutate_against_competitors as a can_pair test per rival position.
 
-    rivals are the package's masks, read here as sets of positions.  The
-    package ANDs the rival mask with a mask of the positions each base
-    bonds with instead; both must draw the same options in the same
-    order, and so the same rng values.  Without rivals nothing is
-    redrawn; otherwise every target arc is, and every unpaired position
-    with a rival.
+    rivals are the package's masks, read here as sets of positions.
+    Positions are visited left to right and each site is redrawn at its
+    first end, against the sequence as built so far: a base written at
+    w must not pair with the base now held by any rival of w, the
+    site's own partner excepted, and at an arc the same holds for the
+    base written at its partner.  The package keeps per-base partner
+    masks of the new sequence instead; both must draw the same options
+    in the same order, and so the same rng values.  Without rivals
+    nothing is redrawn; otherwise every target arc is, and every
+    unpaired position with a rival.
     """
     if rivals is None:
         return MutationOutcome(seq, (), ())
     rivals = [positions_of(mask) for mask in rivals]
     new = list(seq)
+
+    def breaks(base: str, w: int, own: int) -> bool:
+        return all(not can_pair(base, new[u - 1]) for u in rivals[w] - {own})
+
     mutated: list[int] = []
     fallbacks: list[int] = []
     for w in range(1, target.n + 1):
@@ -565,30 +573,22 @@ def reference_mutate_against_competitors(
             if not rivals[w]:
                 continue
             old = seq[w - 1]
-            options = [
-                b
-                for b in BASES
-                if b != old
-                and all(not can_pair(b, seq[u - 1]) for u in rivals[w])
-            ]
+            others = [b for b in BASES if b != old]
+            options = [b for b in others if breaks(b, w, 0)]
             if options:
                 new[w - 1] = rng.choice(options)
             else:
-                new[w - 1] = rng.choice([b for b in BASES if b != old])
+                new[w - 1] = rng.choice(others)
                 fallbacks.append(w)
             mutated.append(w)
         elif v > w:
             old_pair = seq[w - 1] + seq[v - 1]
-            options = [
-                p
-                for p in PAIRS
-                if p != old_pair
-                and all(u == v or not can_pair(p[0], seq[u - 1]) for u in rivals[w])
-            ]
+            others = [p for p in PAIRS if p != old_pair]
+            options = [p for p in others if breaks(p[0], w, v) and breaks(p[1], v, w)]
             if options:
                 pair = rng.choice(options)
             else:
-                pair = rng.choice([p for p in PAIRS if p != old_pair])
+                pair = rng.choice(others)
                 fallbacks.append(w)
             new[w - 1], new[v - 1] = pair[0], pair[1]
             mutated.append(w)

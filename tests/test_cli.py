@@ -57,8 +57,8 @@ class TestInverse:
         # 5 trials over 2 or 3 workers: stripes of unequal length, and
         # trial 1, run by worker 1, fails with a reason
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        args = ["inverse", "--target", "(((..[[[..)))..]]]", "--trials", "5",
-                "--seed", "2", "--format", "jsonl"]
+        args = ["inverse", "--target", ":::::::::(((:::)))::::", "--trials", "5",
+                "--seed", "14", "--format", "jsonl"]
         serial_trace = tmp_path / "trace1.jsonl"
         serial = invoke(*args, "--jobs", "1", "--trace", str(serial_trace))
         assert serial.exit_code == 1
@@ -72,8 +72,8 @@ class TestInverse:
     def test_whole_process_campaign_equals_the_in_process_run(self, tmp_path):
         # invoke returns before the interpreter's exit, which flushes the
         # streams and skips the collection of what it froze
-        args = ["inverse", "--target", "(((..[[[..)))..]]]", "--trials", "5",
-                "--seed", "2", "--format", "jsonl", "--jobs", "2"]
+        args = ["inverse", "--target", ":::::::::(((:::)))::::", "--trials", "5",
+                "--seed", "14", "--format", "jsonl", "--jobs", "2"]
         process_trace = tmp_path / "process.jsonl"
         done = cli_process(*args, "--trace", str(process_trace))
         runner_trace = tmp_path / "runner.jsonl"
@@ -291,7 +291,7 @@ class TestInverse:
         )
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == (
-            "6c089675df5810029224cbb5226f58253351849d9a1f3dda48cea3166f40ce7d"
+            "505bec98f3a5d1653d0a92f5e69c388d39ab7c5cee5d5bba5ea514c7b4042cae"
         )
 
     def test_trace_output_is_pinned(self, tmp_path):
@@ -304,9 +304,9 @@ class TestInverse:
         )
         assert result.exit_code == 0
         data = path.read_bytes()
-        assert data.count(b"\n") == 44
+        assert data.count(b"\n") == 43
         assert hashlib.sha256(data).hexdigest() == (
-            "9013e75053b8380084875ced1afeb382df1ee38ae01cea72f6fa27ca391292de"
+            "ae24ce400cd08b3b03fd9df6e749a350579d18bb88f39339040f0f870488455a"
         )
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -406,9 +406,11 @@ class TestInverse:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    def test_structure_cap_fails_the_trial(self):
-        # a fold of the adjust phase would visit more than MAX_STRUCTURES
-        # structures; the trial fails instead of raising SizeGuard
+    def test_structure_cap_fails_the_trial(self, monkeypatch):
+        # under a lowered cap, the adjust phase's first fold would visit
+        # more than MAX_STRUCTURES structures; the trial fails instead of
+        # raising SizeGuard.  The default cap refuses no fold of this design
+        monkeypatch.setattr(oracle, "MAX_STRUCTURES", 20_000)
         target = ":(((([[[))))((({{{{{::)))]]]::}}}}}:::::"
         result = invoke("inverse", "--target", target, "--seed", "1",
                         "--format", "jsonl")

@@ -331,11 +331,22 @@ class TestMutation:
             assert not can_pair("G", seq[9])
 
     def test_breakability_invariant(self):
+        # the made-up rivals made symmetric and free of self and position 0
+        # bits, as a census is.  Sites are drawn left to right, each against
+        # the bases written before it, so a rival pairing cannot pair in the
+        # new sequence once the later of its two sites is no fallback; an
+        # outcome with no fallback leaves no rival pairing at all
         rng = random.Random(23)
+        outcomes = checked = 0
         for _ in range(200):
             target = random_valid_structure(rng, rng.randint(10, 16))
             seq = random_compatible_sequence(target, rng)
-            rivals = made_up_rivals(rng, target.n)
+            drawn = made_up_rivals(rng, target.n)
+            rivals = drawn and [0] * (target.n + 1)
+            for w in range(1, target.n + 1) if drawn else ():
+                for u in positions_of(drawn[w]) - {w}:
+                    rivals[w] |= 1 << u
+                    rivals[u] |= 1 << w
             out = mutate_against_competitors(seq, target, rivals, rng)
             if rivals is None:
                 assert out == MutationOutcome(seq, (), ())
@@ -343,11 +354,32 @@ class TestMutation:
             # every arc site, and every unpaired site with a rival
             assert out.mutated_positions == tuple(
                 w for w, v in sites(target) if v or rivals[w])
-            for w in out.mutated_positions:
-                if w in out.fallback_positions:
-                    continue
+            outcomes += not out.fallback_positions
+            site_of = [min(w, target.partner[w] or w) for w in range(target.n + 1)]
+            for w in range(1, target.n + 1):
                 for u in positions_of(rivals[w]) - {target.partner[w]}:
-                    assert not can_pair(out.sequence[w - 1], seq[u - 1])
+                    if max(site_of[w], site_of[u]) in out.fallback_positions:
+                        continue
+                    checked += 1
+                    assert not can_pair(out.sequence[w - 1], out.sequence[u - 1])
+        assert outcomes >= 3 and checked > 2000
+
+    def test_partner_side_rival_is_broken(self):
+        # target pairs (2, 6); a competitor pairs 6 with 9 and leaves 2
+        # unpaired, so only the arc's partner-side base has a rival
+        target = Structure.from_pairs(10, [(2, 6)])
+        competitor = Structure.from_pairs(10, [(6, 9)])
+        seq = "AGAAACAAAA"
+        rivals = census_of((competitor,), target)
+        assert not rivals[2] and rivals[6] == 1 << 9
+        rng = random.Random(5)
+        for _ in range(40):
+            out = mutate_against_competitors(seq, target, rivals, rng)
+            new = out.sequence
+            assert out.fallback_positions == ()
+            assert is_compatible(new, target)
+            assert new[5] != "U"  # the base at 6 skips the A still at 9
+            assert not can_pair(new[5], new[8])
 
     def test_subset_competitor_cannot_be_broken(self):
         # a competitor whose arcs all sit inside the target stays compatible
@@ -706,11 +738,11 @@ class TestInverseFold:
                     lines.append(repr((None, failure.oracle_calls)))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
-            "31199fc9df92e43e420ed35c53c0c5c7e6ae32095abe854281dad9463ed4509b"
+            "35a4b2288d00c4df624bd80b80b66a63bf433a46d6bfed2fbf3ef084a459682e"
         )
 
     def test_memo_budget_keeps_every_fold_of_a_shared_batch(self, monkeypatch):
-        # the batch leaves 1,978 structures in a memo without a budget, so
+        # the batch leaves 1,325 structures in a memo without a budget, so
         # the budget evicts, yet every repeat still finds its entry: the
         # fold count and the designs are those of an unbounded memo.  A
         # fold is a selection, and one from the kept rows of the fold
@@ -735,11 +767,11 @@ class TestInverseFold:
                 lines.append(repr(design))
                 oracle_calls += design[1]
                 assert memo._held <= oracle.MAX_MEMO_STRUCTURES
-        assert (len(calls), oracle_calls) == (735, 1086)
-        assert len(enumerations) == 689
+        assert (len(calls), oracle_calls) == (377, 529)
+        assert len(enumerations) == 334
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
-            "89f49b07a8755109dcaf4a265455e4090e7bbde4892412ebd74e94d0f1708edd"
+            "0700be25e21a7fb1fef73cd99df47ca710f66abcf4fe6c9b22bebe3726dacc74"
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
